@@ -341,8 +341,16 @@ def _require_symmetric(params: ModelParams) -> None:
                          "(lambda0 == lambda1, gamma0 == gamma1, a0 == -a1)")
 
 
-def _at_critical_rate(gamma: float, lam: float) -> bool:
-    return abs(gamma - 2.0 * lam) <= 1e-9 * max(gamma, 2.0 * lam)
+def _exp_divided_difference(r1: float, r2: float, t: float) -> float:
+    """(exp(-r1 t) - exp(-r2 t)) / (r2 - r1), with its limit t exp(-r t).
+
+    Factored as exp(-min(r1, r2) t) (1 - exp(-|r2 - r1| t)) / |r2 - r1|:
+    expm1 keeps every digit when the two rates meet, and neither factor
+    can overflow.
+    """
+    gap = abs(r2 - r1)
+    span = t if gap == 0.0 else -math.expm1(-gap * t) / gap
+    return math.exp(-min(r1, r2) * t) * span
 
 
 def mean_X_symmetric(t: float, x: float, start: Regime,
@@ -352,10 +360,7 @@ def mean_X_symmetric(t: float, x: float, start: Regime,
     if t < 0:
         raise ValueError("t must be nonnegative")
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
-    if _at_critical_rate(gamma, lam):
-        swing = t * math.exp(-gamma * t)
-    else:
-        swing = (math.exp(-2.0 * lam * t) - math.exp(-gamma * t)) / (gamma - 2.0 * lam)
+    swing = _exp_divided_difference(2.0 * lam, gamma, t)
     sign = 1.0 if start == Regime.R0 else -1.0
     return x * math.exp(-gamma * t) + sign * a * swing
 
@@ -372,20 +377,17 @@ def var_X_symmetric(t: float, params: ModelParams) -> float:
     if t == 0:
         return 0.0
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
-    if _at_critical_rate(gamma, lam):
-        gt = gamma * t
-        value = (a * a / (2.0 * gamma * gamma)
-                 * (1.0 - math.exp(-2.0 * gt) * (1.0 + 2.0 * gt + 2.0 * gt * gt)))
-    else:
-        diff = gamma - 2.0 * lam
-        # exp(-2 gamma t) folded into each bracket term to avoid overflow
-        # when gamma >> 2 lambda.
-        bracket = (math.exp(-4.0 * lam * t)
-                   - 8.0 * lam / (gamma + 2.0 * lam)
-                   * math.exp(-(gamma + 2.0 * lam) * t)
-                   + 2.0 * lam / gamma * math.exp(-2.0 * gamma * t))
-        value = a * a * (1.0 / (gamma * (gamma + 2.0 * lam))
-                         - bracket / (diff * diff))
+    # Var = a^2 (limit - [limit e^(-2 gamma t) + 2 tail / (gamma + 2 lambda)
+    # + swing^2]), with swing and tail divided differences of exp(-r t)
+    # between the rates 2 lambda, gamma and gamma + 2 lambda, 2 gamma.  No
+    # term divides by (gamma - 2 lambda)^2, so no digits cancel at the
+    # critical rate gamma = 2 lambda.
+    limit = 1.0 / (gamma * (gamma + 2.0 * lam))
+    swing = _exp_divided_difference(2.0 * lam, gamma, t)
+    tail = _exp_divided_difference(gamma + 2.0 * lam, 2.0 * gamma, t)
+    value = a * a * (limit - (limit * math.exp(-2.0 * gamma * t)
+                              + 2.0 / (gamma + 2.0 * lam) * tail
+                              + swing * swing))
     # the closed form can dip below zero by roundoff near t = 0
     return max(value, 0.0)
 

@@ -89,17 +89,19 @@ def _deep_set(config: dict, dotted: str, value) -> None:
 
 
 def _extract_dotted_overrides(argv: list[str]) -> tuple[list[str], dict]:
-    """Pull ``--sec.key value`` pairs out of argv before argparse runs."""
+    """Pull ``--sec.key value`` pairs out of argv before argparse runs.
+
+    Only the key decides: ``--x=1.5`` is a plain flag whose value holds a
+    dot, ``--eval.x=1.5`` a dotted key.
+    """
     rest: list[str] = []
     overrides: dict[str, str] = {}
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token.startswith("--") and "." in token:
-            key = token[2:]
-            if "=" in key:
-                key, _, value = key.partition("=")
-            else:
+        key, has_value, value = token[2:].partition("=")
+        if token.startswith("--") and "." in key:
+            if not has_value:
                 if i + 1 >= len(argv):
                     raise ConfigError(f"flag {token} expects a value")
                 i += 1

@@ -451,7 +451,7 @@ def _kac_reports(tier: str, seed: int) -> list[CheckReport]:
         params = _scaled_kac_params(lam)
         config = MCConfig(replicates=n, seed=_check_seed(seed, idx))
         functional = simulate.functional_x_at(t, x0, Regime.R0)
-        var_est = simulate.estimate_variance(functional, params, config)
+        mean_est, var_est = simulate.estimate_moments(functional, params, config)
         err = abs(var_est.value - var_ref)
         errors[tag] = err
         z = (var_est.value - var_ref) / var_est.std_error
@@ -460,7 +460,6 @@ def _kac_reports(tier: str, seed: int) -> list[CheckReport]:
             name=f"kac_var_lambda_{int(lam)}", analytic_value=var_ref,
             mc_estimate=var_est, z_score=z, passed=err < tolerance))
         if tag == "large":
-            mean_est = simulate.estimate(functional, params, config)
             mz = (mean_est.value - mean_ref) / mean_est.std_error
             reports.append(CheckReport(
                 name=f"kac_mean_lambda_{int(lam)}", analytic_value=mean_ref,

@@ -219,45 +219,81 @@ def init_state(n: int, x0: float, start: Regime) -> ChainState:
     )
 
 
+def _per_regime(v0: float, v1: float, in_r1: np.ndarray):
+    """Each row's value for its regime; a scalar when both regimes share it.
+
+    A shared value broadcasts to the same products as a gathered array, so
+    the scalar form changes no result, only the work per pass.
+    """
+    return v0 if v0 == v1 else np.where(in_r1, v1, v0)
+
+
 def advance(state: ChainState, dt, params: ModelParams,
             rng: np.random.Generator) -> None:
-    """Advance every replicate by dt (scalar or per-replicate array)."""
+    """Advance every replicate by dt (scalar or per-replicate array).
+
+    Each pass draws one holding time per active replicate, in ascending
+    replicate order, and moves the replicate to the next switch or to the
+    end of its window.  The active rows are worked on as compact copies;
+    rows are written back to ``state`` and dropped only on a pass where
+    some replicate finishes its window.
+    """
     n = state.x.size
-    remaining = np.broadcast_to(np.asarray(dt, dtype=float), (n,)).copy()
-    if np.any(remaining < 0):
+    window = np.broadcast_to(np.asarray(dt, dtype=float), (n,)).copy()
+    if np.any(window < 0):
         raise ValueError("advance duration must be nonnegative")
-    window = remaining.copy()
-    lam = np.array([params.lambda0, params.lambda1])
-    gam = np.array([params.gamma0, params.gamma1])
-    vel = np.array([params.a0, params.a1])
-    fp = vel / gam
-    while True:
-        idx = np.nonzero(remaining > 0.0)[0]
-        if idx.size == 0:
-            break
-        r = state.regime[idx]
-        lam_r = lam[r]
-        draws = rng.standard_exponential(idx.size)
-        with np.errstate(divide="ignore"):
-            tau = np.where(lam_r > 0.0, draws / np.where(lam_r > 0.0, lam_r, 1.0),
-                           np.inf)
-        rem = remaining[idx]
+    lam0, lam1 = params.lambda0, params.lambda1
+    g0, g1 = params.gamma0, params.gamma1
+    fp0, fp1 = params.a0 / g0, params.a1 / g1
+    positive_rates = lam0 > 0.0 and lam1 > 0.0
+    idx = np.flatnonzero(window > 0.0)
+    x, tv, gv = state.x[idx], state.tvalue[idx], state.gvalue[idx]
+    in_r1, ns, rem = state.regime[idx] == 1, state.nswitch[idx], window[idx]
+    first_pass = True
+    while idx.size:
+        lam_r = _per_regime(lam0, lam1, in_r1)
+        tau = rng.standard_exponential(idx.size)
+        if positive_rates:
+            tau /= lam_r
+        else:
+            with np.errstate(divide="ignore"):
+                tau = np.where(lam_r > 0.0,
+                               tau / np.where(lam_r > 0.0, lam_r, 1.0), np.inf)
         step = np.minimum(tau, rem)
-        fp_r = fp[r]
-        g_r = gam[r]
-        state.x[idx] = fp_r + (state.x[idx] - fp_r) * np.exp(-g_r * step)
-        state.tvalue[idx] += vel[r] * step
-        state.gvalue[idx] += g_r * step
+        fp_r = _per_regime(fp0, fp1, in_r1)
+        g_r = _per_regime(g0, g1, in_r1)
+        # x <- fp + (x - fp) exp(-g step) in place, with the same roundings
+        x -= fp_r
+        x *= np.exp(-g_r * step)
+        x += fp_r
+        tv += _per_regime(params.a0, params.a1, in_r1) * step
+        gv += g_r * step
         switched = tau < rem
-        swi = idx[switched]
-        if swi.size:
-            epoch = (state.clock[swi] + (window[swi] - rem[switched])
-                     + tau[switched])
-            fresh = state.nswitch[swi] == 0
-            state.first_switch[swi[fresh]] = epoch[fresh]
-            state.regime[swi] = 1 - state.regime[swi]
-            state.nswitch[swi] += 1
-        remaining[idx] = np.where(switched, rem - step, 0.0)
+        if first_pass:
+            # A row that does not switch finishes its window, so after the
+            # first pass every active row has switched at least once.
+            fresh = np.flatnonzero(switched & (ns == 0))
+            rows = idx[fresh]
+            state.first_switch[rows] = ((state.clock[rows]
+                                         + (window[rows] - rem[fresh]))
+                                        + tau[fresh])
+            first_pass = False
+        rem -= step
+        if switched.all():
+            np.logical_not(in_r1, out=in_r1)
+            ns += 1
+            continue
+        done = np.flatnonzero(~switched)
+        rows = idx[done]
+        state.x[rows] = x[done]
+        state.tvalue[rows] = tv[done]
+        state.gvalue[rows] = gv[done]
+        state.regime[rows] = in_r1[done]
+        state.nswitch[rows] = ns[done]
+        keep = np.flatnonzero(switched)
+        idx, x, tv, gv, rem = idx[keep], x[keep], tv[keep], gv[keep], rem[keep]
+        in_r1 = ~in_r1[keep]
+        ns = ns[keep] + 1
     state.clock += window
 
 
@@ -436,33 +472,51 @@ def sample_functional(functional: Functional, params: ModelParams,
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def estimate(functional: Functional, params: ModelParams,
-             config: MCConfig) -> EstimateWithCI:
-    """Mean of a path functional with its standard error."""
-    values = sample_functional(functional, params, config)
+def _mean_of(values: np.ndarray, seed: int) -> EstimateWithCI:
     n = values.size
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
         # Constant sample: report the exact common value, not a rounded mean.
-        return EstimateWithCI(vmin, 0.0, n, config.seed)
+        return EstimateWithCI(vmin, 0.0, n, seed)
     mean = float(values.mean())
     se = float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return EstimateWithCI(mean, se, n, config.seed)
+    return EstimateWithCI(mean, se, n, seed)
 
 
-def estimate_variance(functional: Functional, params: ModelParams,
-                      config: MCConfig) -> EstimateWithCI:
-    """Sample variance of a functional with a delta-method standard error."""
-    values = sample_functional(functional, params, config)
+def _variance_of(values: np.ndarray, seed: int) -> EstimateWithCI:
     n = values.size
     if n < 2:
-        return EstimateWithCI(0.0, 0.0, n, config.seed)
+        return EstimateWithCI(0.0, 0.0, n, seed)
     centered = values - values.mean()
     m2 = float(np.mean(centered ** 2))
     m4 = float(np.mean(centered ** 4))
     var = m2 * n / (n - 1.0)
     se = math.sqrt(max(m4 - m2 * m2, 0.0) / n)
-    return EstimateWithCI(var, se, n, config.seed)
+    return EstimateWithCI(var, se, n, seed)
+
+
+def estimate(functional: Functional, params: ModelParams,
+             config: MCConfig) -> EstimateWithCI:
+    """Mean of a path functional with its standard error."""
+    return _mean_of(sample_functional(functional, params, config), config.seed)
+
+
+def estimate_variance(functional: Functional, params: ModelParams,
+                      config: MCConfig) -> EstimateWithCI:
+    """Sample variance of a functional with a delta-method standard error."""
+    return _variance_of(sample_functional(functional, params, config),
+                        config.seed)
+
+
+def estimate_moments(functional: Functional, params: ModelParams,
+                     config: MCConfig) -> tuple[EstimateWithCI, EstimateWithCI]:
+    """Mean and variance estimates from one sample of a functional.
+
+    Equal to ``(estimate(...), estimate_variance(...))`` with the same
+    arguments, at the cost of one simulation instead of two.
+    """
+    values = sample_functional(functional, params, config)
+    return _mean_of(values, config.seed), _variance_of(values, config.seed)
 
 
 def histogram(functional: Functional, params: ModelParams, config: MCConfig,

@@ -154,10 +154,10 @@ def test_criterion_07_kac_scaling():
         params = ModelParams(lam, lam, a, -a, 1.0, 1.0)
         functional = simulate.functional_x_at(t, x0, Regime.R0)
         config = MCConfig(replicates=n, seed=707 + int(lam))
-        var_est = simulate.estimate_variance(functional, params, config)
+        mean_est, var_est = simulate.estimate_moments(functional, params,
+                                                      config)
         errors[lam] = abs(var_est.value - var_ref)
         if lam == 1e4:
-            mean_est = simulate.estimate(functional, params, config)
             mean_err = abs(mean_est.value - mean_ref)
     ok = (errors[1e4] < errors[1e2] and errors[1e4] < 0.05
           and mean_err < 0.02)

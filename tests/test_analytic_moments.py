@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -148,6 +149,50 @@ class TestVarXSymmetric:
         value = var_X_symmetric(3.0, p)
         assert math.isfinite(value)
         assert value >= 0.0
+
+
+# gamma - 2 lambda at and around the critical rate, where the paper's
+# closed forms divide a cancelling difference by (gamma - 2 lambda)^k
+CRITICAL_GAPS = [0.0] + [s * g for g in (2e-9, 1e-7, 1e-5, 1e-3, 0.1)
+                         for s in (1.0, -1.0)]
+
+
+def _paper_moments(t, x, lam, gamma, a):
+    """Mean from regime 0 and variance by the paper's forms at 40 digits."""
+    with mpmath.workdps(40):
+        t, x, lam, gamma, a = (mpmath.mpf(v) for v in (t, x, lam, gamma, a))
+        d = gamma - 2 * lam
+        if d == 0:
+            gt = gamma * t
+            swing = t * mpmath.exp(-gamma * t)
+            var = (a * a / (2 * gamma * gamma)
+                   * (1 - mpmath.exp(-2 * gt) * (1 + 2 * gt + 2 * gt * gt)))
+        else:
+            swing = (mpmath.exp(-2 * lam * t) - mpmath.exp(-gamma * t)) / d
+            bracket = (mpmath.exp(-4 * lam * t)
+                       - 8 * lam / (gamma + 2 * lam)
+                       * mpmath.exp(-(gamma + 2 * lam) * t)
+                       + 2 * lam / gamma * mpmath.exp(-2 * gamma * t))
+            var = a * a * (1 / (gamma * (gamma + 2 * lam)) - bracket / d ** 2)
+        return x * mpmath.exp(-gamma * t) + a * swing, var
+
+
+def _relative_error(value, reference):
+    with mpmath.workdps(40):
+        return float(abs((mpmath.mpf(value) - reference) / reference))
+
+
+class TestCriticalRate:
+    @pytest.mark.parametrize("t", [0.5, 2.0, 40.0])
+    @pytest.mark.parametrize("gap", CRITICAL_GAPS)
+    @pytest.mark.parametrize("lam, a", [(1.0, 1.0), (0.3, 2.5)])
+    def test_against_forty_digits(self, lam, a, gap, t):
+        gamma = 2.0 * lam + gap
+        p = ModelParams(lam, lam, a, -a, gamma, gamma)
+        mean_ref, var_ref = _paper_moments(t, 0.4, lam, gamma, a)
+        assert _relative_error(var_X_symmetric(t, p), var_ref) <= 1e-12
+        mean = mean_X_symmetric(t, 0.4, Regime.R0, p)
+        assert _relative_error(mean, mean_ref) <= 1e-12
 
 
 class TestKacLimitReference:

@@ -186,6 +186,36 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown configuration key" in err
 
+    @staticmethod
+    def _csv_bytes(tmp_path, forms, base):
+        outs = []
+        for k, form in enumerate(forms):
+            target = tmp_path / f"{k}.csv"
+            assert main(["--out", str(target), "analytic", *base, *form]) == 0
+            outs.append(target.read_bytes())
+        return outs
+
+    def test_flag_equals_value_with_dot(self, tmp_path):
+        # "." in the value of --flag=value does not make it a dotted key
+        forms = (["--x=1.5"], ["--x", "1.5"], ["--eval.x", "1.5"],
+                 ["--eval.x=1.5"])
+        outs = self._csv_bytes(tmp_path, forms,
+                               ["--quantity", "mean-falling", "--start", "1"])
+        assert outs[0].count(b"\n") == 2
+        assert all(out == outs[0] for out in outs)
+
+    def test_grid_with_negative_first_point(self, tmp_path):
+        forms = (["--grid=-0.4,0.3"], ["--eval.grid", "-0.4,0.3"],
+                 ["--eval.grid=-0.4,0.3"], ["--z=-0.4"], ["--z", "0.3"])
+        outs = self._csv_bytes(tmp_path, forms,
+                               ["--quantity", "joint-density", "--t", "1",
+                                "--n", "1", "--x", "0"])
+        assert all(out == outs[0] for out in outs[:3])
+        _, rows = parse_csv(outs[0].decode())
+        single = [parse_csv(out.decode())[1][0] for out in outs[3:]]
+        assert rows == single
+        assert float(rows[0][7]) > 0.0
+
     def test_invalid_model_named_inequality(self, capsys):
         code, _, err = run_cli(["analytic", "--quantity", "mgf-gamma",
                                 "--a1", "5", "--gamma1", "1"], capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ from scipy import stats
 from oubv.analytic import mean_X_symmetric
 from oubv.model import ModelParams, Regime, band, pattern, t_star
 from oubv.simulate import (
+    ChainState,
     MCConfig,
     advance,
     chunk_rng,
     estimate,
+    estimate_moments,
+    estimate_variance,
     eval_path,
     falling_times,
     functional_constant,
@@ -223,6 +227,103 @@ class TestAdvance:
         expected = 1.0 - math.exp(-1.0 * 1.0)
         observed = float((epochs <= 1.0).sum()) / state.x.size
         assert observed == pytest.approx(expected, abs=0.01)
+
+
+def reference_advance(state, dt, params, rng):
+    """The per-switch loop ``advance`` replaced: every pass re-selects the
+    active rows and gathers and scatters them in ``state``."""
+    n = state.x.size
+    remaining = np.broadcast_to(np.asarray(dt, dtype=float), (n,)).copy()
+    if np.any(remaining < 0):
+        raise ValueError("advance duration must be nonnegative")
+    window = remaining.copy()
+    lam = np.array([params.lambda0, params.lambda1])
+    gam = np.array([params.gamma0, params.gamma1])
+    vel = np.array([params.a0, params.a1])
+    fp = vel / gam
+    while True:
+        idx = np.nonzero(remaining > 0.0)[0]
+        if idx.size == 0:
+            break
+        r = state.regime[idx]
+        lam_r = lam[r]
+        draws = rng.standard_exponential(idx.size)
+        with np.errstate(divide="ignore"):
+            tau = np.where(lam_r > 0.0, draws / np.where(lam_r > 0.0, lam_r, 1.0),
+                           np.inf)
+        rem = remaining[idx]
+        step = np.minimum(tau, rem)
+        fp_r = fp[r]
+        g_r = gam[r]
+        state.x[idx] = fp_r + (state.x[idx] - fp_r) * np.exp(-g_r * step)
+        state.tvalue[idx] += vel[r] * step
+        state.gvalue[idx] += g_r * step
+        switched = tau < rem
+        swi = idx[switched]
+        if swi.size:
+            epoch = (state.clock[swi] + (window[swi] - rem[switched])
+                     + tau[switched])
+            fresh = state.nswitch[swi] == 0
+            state.first_switch[swi[fresh]] = epoch[fresh]
+            state.regime[swi] = 1 - state.regime[swi]
+            state.nswitch[swi] += 1
+        remaining[idx] = np.where(switched, rem - step, 0.0)
+    state.clock += window
+
+
+def _kac_params(lam):
+    a = math.sqrt(lam)
+    return ModelParams(lam, lam, a, -a, 1.0, 1.0)
+
+
+# (params, replicates, successive windows): dense and sparse switching,
+# unequal rates, zero rates, per-replicate windows (some empty), two windows
+BIT_IDENTITY_CASES = {
+    "dense_1e4": (_kac_params(1e4), 300, [0.3]),
+    "dense_1e2": (_kac_params(1e2), 5_000, [1.0]),
+    "sparse": (SYM, 20_000, [2.0]),
+    "asymmetric": (ASYM, 20_000, [1.5]),
+    "zero_rates": (ModelParams(0.0, 0.0, 1.0, -1.0, 1.0, 1.0), 100, [1.5]),
+    "zero_rate0": (ModelParams(0.0, 2.0, 1.0, -1.0, 1.0, 2.0), 5_000, [1.5]),
+    "zero_rate1": (ModelParams(2.0, 0.0, 1.0, -1.0, 1.0, 2.0), 5_000, [1.5]),
+    "per_replicate": (ASYM, 5_000, [np.linspace(0.0, 3.0, 5_000)]),
+    "two_windows": (ASYM, 10_000, [0.37, np.linspace(0.1, 2.0, 10_000)]),
+    "two_windows_dense": (_kac_params(1e2), 2_000, [0.3, 0.4]),
+}
+
+
+class TestAdvanceBitIdentity:
+    @pytest.mark.parametrize("start", [Regime.R0, Regime.R1])
+    @pytest.mark.parametrize("case", sorted(BIT_IDENTITY_CASES))
+    def test_matches_reference_loop(self, case, start):
+        params, n, windows = BIT_IDENTITY_CASES[case]
+        states, rngs = [], []
+        for step_fn in (advance, reference_advance):
+            state = init_state(n, 0.3, start)
+            rng = chunk_rng(61, 0)
+            for window in windows:
+                step_fn(state, window, params, rng)
+            states.append(state)
+            rngs.append(rng)
+        new, ref = states
+        for field in dataclasses.fields(ChainState):
+            a, b = getattr(new, field.name), getattr(ref, field.name)
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        # the same number of draws: both streams stand at the same point
+        assert np.array_equal(rngs[0].random(4), rngs[1].random(4))
+
+
+class TestEstimateMoments:
+    @pytest.mark.parametrize("functional, config", [
+        (functional_x_at(1.0, 0.2, Regime.R0), MCConfig(20_000, 5, 7_000)),
+        (functional_constant(0.75), MCConfig(1_000, 5)),
+        (functional_x_at(1.0, 0.2, Regime.R1), MCConfig(1, 5)),
+    ], ids=["random", "constant", "one_replicate"])
+    def test_equals_separate_reductions(self, functional, config):
+        mean, var = estimate_moments(functional, SYM, config)
+        assert mean == estimate(functional, SYM, config)
+        assert var == estimate_variance(functional, SYM, config)
 
 
 class TestEstimate:
