@@ -5,7 +5,7 @@ process moments, joint densities, the telegraph distribution toolkit, and
 a Monte Carlo cross-validation harness.
 """
 
-from .model import Band, ModelParams, Regime, band, band_coordinate, pattern, symmetric_reduction, t_star
+from .model import Band, ModelParams, Regime, band, band_coordinate, pattern, t_star
 from .specfun import SeriesControl, SeriesConvergenceError
 from .analytic import HyperQuad, MixedDistribution
 from .simulate import EstimateWithCI, MCConfig, Path
@@ -29,7 +29,6 @@ __all__ = [
     "pattern",
     "run_check",
     "standard_suite",
-    "symmetric_reduction",
     "t_star",
 ]
 

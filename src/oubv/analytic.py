@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count
+from typing import Callable, Iterator
 
 from scipy import integrate
 
@@ -23,6 +24,7 @@ from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
     SeriesConvergenceError,
+    _sum_series,
     bessel_i,
     gauss_2f1,
     gh_coefficient,
@@ -202,27 +204,19 @@ def _mean_falling_series(x: float, start: Regime, params: ModelParams,
         den += 1.0
     slope0 = ((params.lambda0 + params.lambda1)
               / (params.lambda0 * params.gamma1 + params.lambda1 * params.gamma0))
-    total = 0.0
-    comp = 0.0
-    term = 1.0  # tracks (num)_n / (den)_n * z^n
-    small = 0
-    for n in range(1, ctl.max_terms + 1):
-        term *= (num + n - 1.0) / (den + n - 1.0) * z
-        contrib = term / n
-        if not math.isfinite(contrib):
-            raise SeriesConvergenceError("mean falling-time series overflowed")
-        s = total + contrib
-        comp += (total - s) + contrib if abs(total) >= abs(contrib) else (contrib - s) + total
-        total = s
-        running = total + comp
-        small = small + 1 if abs(contrib) <= ctl.rel_tol * max(abs(running), 1e-300) else 0
-        if small >= 2:
-            value = -slope0 * running
-            if start == Regime.R0:
-                value += 1.0 / params.lambda0
-            return value, n
-    raise SeriesConvergenceError(
-        f"mean falling-time series did not converge (z={z})")
+
+    def terms() -> Iterator[float]:
+        term = 1.0  # tracks (num)_n / (den)_n * z^n
+        for n in count(1):
+            term *= (num + n - 1.0) / (den + n - 1.0) * z
+            yield term / n
+
+    running, n = _sum_series(terms(), "mean falling-time", ctl, z=z,
+                             detail=" (z={z})")
+    value = -slope0 * running
+    if start == Regime.R0:
+        value += 1.0 / params.lambda0
+    return value, n
 
 
 def _mean_falling_fd(x: float, start: Regime, params: ModelParams,
@@ -578,44 +572,26 @@ def telegraph_moment(order: int, i: Regime, j: Regime, t: float,
     if t == 0:
         return 0.0
     l0, l1 = params.lambda0, params.lambda1
-    a = params.a0
-    diagonal = i == j
+    rate = l0 if i == Regime.R0 else l1
+    front = params.a0 ** order * math.exp(-rate * t)
+    if order == 1 and i == Regime.R1:
+        front = -front
     sign_t = t if i == Regime.R0 else -t
-    kind = ("G" if diagonal else "H") + str(order)
-
-    if diagonal:
+    if i == j:
         # prefactor (l0 l1)^n t^(2n + order) / (2n)!
-        coeff = t ** order
-        front = a ** order * math.exp(-(l0 if i == Regime.R0 else l1) * t)
-        if order == 1 and i == Regime.R1:
-            front = -front
+        kind, lead, offset = f"G{order}", t ** order, 1.0
     else:
         # prefactor l_i^(n+1) l_(1-i)^n t^(2n + order + 1) / (2n + 1)!
-        lead = l0 if i == Regime.R0 else l1
-        coeff = lead * t ** (order + 1)
-        front = a ** order * math.exp(-(l0 if i == Regime.R0 else l1) * t)
-        if order == 1 and i == Regime.R1:
-            front = -front
+        kind, lead, offset = f"H{order}", rate * t ** (order + 1), 2.0
 
-    total = 0.0
-    comp = 0.0
-    small = 0
-    for n in range(ctl.max_terms):
-        term = coeff * gh_coefficient(kind, n, sign_t, params, ctl)
-        if not math.isfinite(term):
-            raise SeriesConvergenceError("telegraph moment series overflowed")
-        s = total + term
-        comp += (total - s) + term if abs(total) >= abs(term) else (term - s) + total
-        total = s
-        running = total + comp
-        small = small + 1 if abs(term) <= ctl.rel_tol * max(abs(running), 1e-300) else 0
-        if small >= 2:
-            return front * running
-        if diagonal:
-            coeff *= l0 * l1 * t * t / ((2.0 * n + 1.0) * (2.0 * n + 2.0))
-        else:
-            coeff *= l0 * l1 * t * t / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
-    raise SeriesConvergenceError("telegraph moment series did not converge")
+    def terms() -> Iterator[float]:
+        coeff = lead
+        for n in count():
+            yield coeff * gh_coefficient(kind, n, sign_t, params, ctl)
+            coeff *= (l0 * l1 * t * t
+                      / ((2.0 * n + offset) * (2.0 * n + offset + 1.0)))
+
+    return front * _sum_series(terms(), "telegraph moment", ctl, detail="")[0]
 
 
 def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,

@@ -154,11 +154,3 @@ def band_coordinate(x: float, params: ModelParams) -> float:
     high = params.a0 / params.gamma0
     return (high - x) / (high - low)
 
-
-def symmetric_reduction(params: ModelParams) -> tuple[float, float]:
-    """Decompose the velocity pair into a common drift and a symmetric part.
-
-    Returns ``((a0 + a1)/2, (a0 - a1)/2)``: subtracting the drift leaves a
-    process with mirrored velocities ``+/- (a0 - a1)/2``.
-    """
-    return ((params.a0 + params.a1) / 2.0, (params.a0 - params.a1) / 2.0)

@@ -136,60 +136,6 @@ def eval_path(path: Path, t: float) -> tuple[float, Regime, int]:
     return (pattern(regime, x, t - seg_start, path.params), regime, count)
 
 
-def telegraph_values(path: Path, t: float) -> tuple[float, float]:
-    """Exact integrals of velocity and relaxation rate along the path."""
-    if not 0.0 <= t <= path.horizon:
-        raise ValueError("t must lie in [0, horizon]")
-    params = path.params
-    total_v, total_g = 0.0, 0.0
-    prev, regime = 0.0, path.start_regime
-    for epoch, new_regime, _ in path.switches:
-        if epoch >= t:
-            break
-        dt = epoch - prev
-        total_v += params.velocity(regime) * dt
-        total_g += params.relaxation(regime) * dt
-        prev, regime = epoch, new_regime
-    dt = t - prev
-    total_v += params.velocity(regime) * dt
-    total_g += params.relaxation(regime) * dt
-    return (total_v, total_g)
-
-
-def sample_falling_time(params: ModelParams, x: float, start: Regime,
-                        rng: np.random.Generator,
-                        max_switches: int = DEFAULT_MAX_SWITCHES) -> float:
-    """First time the process from x above the band drops to the band edge.
-
-    Crossing can only happen along the regime-1 flow and is detected in
-    closed form; regime-0 segments relax toward the edge without reaching
-    it.  Returns ``inf`` if the chain gets stuck in regime 0 with a zero
-    switching rate; raises if the switch budget is exhausted.
-    """
-    high = params.a0 / params.gamma0
-    if x <= high:
-        raise ValueError("x must exceed a0/gamma0")
-    if start == Regime.R0 and params.lambda0 == 0.0:
-        raise ValueError("falling time is infinite from regime 0 with lambda0 == 0")
-    t, v, regime = 0.0, x, start
-    low = params.a1 / params.gamma1
-    for _ in range(max_switches):
-        lam = params.rate(regime)
-        if regime == Regime.R1:
-            cross = float(np.log((v - low) / (high - low))) / params.gamma1
-            tau = math.inf if lam == 0.0 else rng.standard_exponential() / lam
-            if cross <= tau:
-                return t + cross
-        else:
-            if lam == 0.0:
-                return math.inf
-            tau = rng.standard_exponential() / lam
-        v = pattern(regime, v, tau, params)
-        t += tau
-        regime = regime.other
-    raise RuntimeError("max_switches exceeded while sampling the falling time")
-
-
 # ---------------------------------------------------------------------------
 # Vectorized chain state
 # ---------------------------------------------------------------------------
@@ -203,8 +149,6 @@ class ChainState:
     nswitch: np.ndarray
     tvalue: np.ndarray
     gvalue: np.ndarray
-    clock: np.ndarray
-    first_switch: np.ndarray
 
 
 def init_state(n: int, x0: float, start: Regime) -> ChainState:
@@ -214,8 +158,6 @@ def init_state(n: int, x0: float, start: Regime) -> ChainState:
         nswitch=np.zeros(n, dtype=np.int64),
         tvalue=np.zeros(n),
         gvalue=np.zeros(n),
-        clock=np.zeros(n),
-        first_switch=np.full(n, np.nan),
     )
 
 
@@ -239,7 +181,7 @@ def advance(state: ChainState, dt, params: ModelParams,
     some replicate finishes its window.
     """
     n = state.x.size
-    window = np.broadcast_to(np.asarray(dt, dtype=float), (n,)).copy()
+    window = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
     if np.any(window < 0):
         raise ValueError("advance duration must be nonnegative")
     lam0, lam1 = params.lambda0, params.lambda1
@@ -249,7 +191,6 @@ def advance(state: ChainState, dt, params: ModelParams,
     idx = np.flatnonzero(window > 0.0)
     x, tv, gv = state.x[idx], state.tvalue[idx], state.gvalue[idx]
     in_r1, ns, rem = state.regime[idx] == 1, state.nswitch[idx], window[idx]
-    first_pass = True
     while idx.size:
         lam_r = _per_regime(lam0, lam1, in_r1)
         tau = rng.standard_exponential(idx.size)
@@ -269,15 +210,6 @@ def advance(state: ChainState, dt, params: ModelParams,
         tv += _per_regime(params.a0, params.a1, in_r1) * step
         gv += g_r * step
         switched = tau < rem
-        if first_pass:
-            # A row that does not switch finishes its window, so after the
-            # first pass every active row has switched at least once.
-            fresh = np.flatnonzero(switched & (ns == 0))
-            rows = idx[fresh]
-            state.first_switch[rows] = ((state.clock[rows]
-                                         + (window[rows] - rem[fresh]))
-                                        + tau[fresh])
-            first_pass = False
         rem -= step
         if switched.all():
             np.logical_not(in_r1, out=in_r1)
@@ -294,7 +226,6 @@ def advance(state: ChainState, dt, params: ModelParams,
         idx, x, tv, gv, rem = idx[keep], x[keep], tv[keep], gv[keep], rem[keep]
         in_r1 = ~in_r1[keep]
         ns = ns[keep] + 1
-    state.clock += window
 
 
 def falling_times(params: ModelParams, x: float, start: Regime,

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .model import ModelParams
 
@@ -43,35 +45,42 @@ class SeriesConvergenceError(RuntimeError):
     """A series failed to meet rel_tol within max_terms terms."""
 
 
-class _Accumulator:
-    """Neumaier compensated summation."""
+def _neumaier_step(total: float, comp: float, term: float,
+                   rel_tol: float) -> tuple[float, float, bool]:
+    """Add one term to a compensated (Neumaier) sum.
 
-    __slots__ = ("total", "comp")
-
-    def __init__(self, first: float = 0.0) -> None:
-        self.total = first
-        self.comp = 0.0
-
-    def add(self, term: float) -> None:
-        s = self.total + term
-        if abs(self.total) >= abs(term):
-            self.comp += (self.total - s) + term
-        else:
-            self.comp += (term - s) + self.total
-        self.total = s
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
+    Returns the new sum and compensation, and whether the term is at most
+    ``rel_tol`` times the running value ``sum + compensation``.
+    """
+    s = total + term
+    if abs(total) >= abs(term):
+        comp += (total - s) + term
+    else:
+        comp += (term - s) + total
+    return s, comp, abs(term) <= rel_tol * max(abs(s + comp), 1e-300)
 
 
-def _converged(term: float, running: float, rel_tol: float) -> bool:
-    return abs(term) <= rel_tol * max(abs(running), 1e-300)
+def _sum_series(terms: Iterator[float], label: str, ctl: SeriesControl,
+                first: float = 0.0, z: float | None = None,
+                detail: str = " in {max_terms} terms (z={z})"
+                ) -> tuple[float, int]:
+    """Sum ``first`` and the terms of a series; returns (value, terms used).
 
-
-def _check_finite(term: float, label: str) -> None:
-    if not math.isfinite(term):
-        raise SeriesConvergenceError(f"{label} series overflowed")
+    Stops after two consecutive small terms (see ``_neumaier_step``) and
+    raises ``SeriesConvergenceError`` on a non-finite term or when
+    ``ctl.max_terms`` terms do not suffice; ``detail`` completes the
+    second message and is filled with ``max_terms`` and ``z``.
+    """
+    total, comp, small = first, 0.0, 0
+    for n, term in zip(range(1, ctl.max_terms + 1), terms):
+        if not math.isfinite(term):
+            raise SeriesConvergenceError(f"{label} series overflowed")
+        total, comp, is_small = _neumaier_step(total, comp, term, ctl.rel_tol)
+        small = small + 1 if is_small else 0
+        if small >= 2:
+            return total + comp, n
+    raise SeriesConvergenceError(f"{label} series did not converge"
+                                 + detail.format(max_terms=ctl.max_terms, z=z))
 
 
 def _check_beta(beta: float, name: str = "beta") -> None:
@@ -79,31 +88,16 @@ def _check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must not be zero or a negative integer")
 
 
-def pochhammer(b: float, n: int) -> float:
-    """Rising factorial b (b+1) ... (b+n-1); empty product for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = 1.0
-    for k in range(n):
-        out *= b + k
-    return out
-
-
 def _gauss_series(b0: float, b1: float, beta: float, z: float,
                   ctl: SeriesControl) -> float:
     # Direct series; caller guarantees 0 <= z < 1.
-    acc = _Accumulator(1.0)
-    term = 1.0
-    small = 0
-    for n in range(ctl.max_terms):
-        term *= (b0 + n) * (b1 + n) / ((beta + n) * (n + 1.0)) * z
-        _check_finite(term, "Gauss")
-        acc.add(term)
-        small = small + 1 if _converged(term, acc.value, ctl.rel_tol) else 0
-        if small >= 2:
-            return acc.value
-    raise SeriesConvergenceError(
-        f"Gauss series did not converge in {ctl.max_terms} terms (z={z})")
+    def terms() -> Iterator[float]:
+        term = 1.0
+        for n in count():
+            term *= (b0 + n) * (b1 + n) / ((beta + n) * (n + 1.0)) * z
+            yield term
+
+    return _sum_series(terms(), "Gauss", ctl, 1.0, z)[0]
 
 
 def gauss_2f1(b0: float, b1: float, beta: float, z: float,
@@ -134,18 +128,14 @@ def kummer_phi(alpha: float, beta: float, z: float,
         return 1.0
     if z < 0.0:
         return math.exp(z) * kummer_phi(beta - alpha, beta, -z, ctl)
-    acc = _Accumulator(1.0)
-    term = 1.0
-    small = 0
-    for n in range(ctl.max_terms):
-        term *= (alpha + n) / ((beta + n) * (n + 1.0)) * z
-        _check_finite(term, "Kummer")
-        acc.add(term)
-        small = small + 1 if _converged(term, acc.value, ctl.rel_tol) else 0
-        if small >= 2:
-            return acc.value
-    raise SeriesConvergenceError(
-        f"Kummer series did not converge in {ctl.max_terms} terms (z={z})")
+
+    def terms() -> Iterator[float]:
+        term = 1.0
+        for n in count():
+            term *= (alpha + n) / ((beta + n) * (n + 1.0)) * z
+            yield term
+
+    return _sum_series(terms(), "Kummer", ctl, 1.0, z)[0]
 
 
 def bessel_i(order: int, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -155,24 +145,16 @@ def bessel_i(order: int, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> floa
     if z < 0:
         raise ValueError("z must be nonnegative")
     half_sq = (z / 2.0) * (z / 2.0)
-    if order == 0:
-        term = 1.0
-        acc = _Accumulator(1.0)
-        ratio = lambda n: half_sq / ((n + 1.0) * (n + 1.0))
-    else:
-        term = z / 2.0
-        acc = _Accumulator(term)
-        ratio = lambda n: half_sq / ((n + 1.0) * (n + 2.0))
-    small = 0
-    for n in range(ctl.max_terms):
-        term *= ratio(n)
-        _check_finite(term, "Bessel")
-        acc.add(term)
-        small = small + 1 if _converged(term, acc.value, ctl.rel_tol) else 0
-        if small >= 2:
-            return acc.value
-    raise SeriesConvergenceError(
-        f"Bessel series did not converge in {ctl.max_terms} terms (z={z})")
+    lead = 1.0 if order == 0 else z / 2.0
+
+    def terms() -> Iterator[float]:
+        # ratio of consecutive terms: (z/2)^2 / ((n + 1) (n + 1 + order))
+        term = lead
+        for n in count():
+            term *= half_sq / ((n + 1.0) * (n + 1.0 + order))
+            yield term
+
+    return _sum_series(terms(), "Bessel", ctl, lead, z)[0]
 
 
 def psi_pair(t: float, z: float, params: ModelParams,
@@ -192,23 +174,22 @@ def psi_pair(t: float, z: float, params: ModelParams,
     ll = params.lambda0 * params.lambda1
     if t == 0.0:
         return (0.0, 0.0)
-    acc0 = _Accumulator()
-    acc1 = _Accumulator()
+    # Both sums stop together, on two consecutive rounds in which both
+    # terms are small.
+    total0 = comp0 = total1 = comp1 = 0.0
     c0 = ll * t * t / 2.0          # n = 1 prefactor of psi0
     c1 = t                         # n = 1 prefactor of psi1
     small = 0
     for n in range(1, ctl.max_terms + 1):
         term0 = c0 * kummer_phi(n, 2 * n + 1, z, ctl)
         term1 = c1 * kummer_phi(n, 2 * n, z, ctl)
-        _check_finite(term0, "switching-count")
-        _check_finite(term1, "switching-count")
-        acc0.add(term0)
-        acc1.add(term1)
-        done0 = _converged(term0, acc0.value, ctl.rel_tol)
-        done1 = _converged(term1, acc1.value, ctl.rel_tol)
+        if not (math.isfinite(term0) and math.isfinite(term1)):
+            raise SeriesConvergenceError("switching-count series overflowed")
+        total0, comp0, done0 = _neumaier_step(total0, comp0, term0, ctl.rel_tol)
+        total1, comp1, done1 = _neumaier_step(total1, comp1, term1, ctl.rel_tol)
         small = small + 1 if (done0 and done1) else 0
         if small >= 2:
-            return (acc0.value, acc1.value)
+            return (total0 + comp0, total1 + comp1)
         c0 *= ll * t * t / ((2 * n + 1.0) * (2 * n + 2.0))
         c1 *= ll * t * t / ((2 * n) * (2 * n + 1.0))
     raise SeriesConvergenceError(

@@ -2,18 +2,16 @@ import math
 
 import pytest
 
+from oubv import analytic, harness, simulate
 from oubv.harness import (
-    ANALYTIC_TARGETS,
-    MC_FUNCTIONALS,
-    OP_COVERAGE,
     CheckReport,
     CheckSpec,
     run_check,
     standard_suite,
     suite_specs,
 )
-from oubv.model import ModelParams
-from oubv.simulate import MCConfig
+from oubv.model import ModelParams, Regime, t_star
+from oubv.simulate import MCConfig, chunk_rng
 
 SYM = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 UNIT = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
@@ -31,7 +29,7 @@ ANALYTIC_OPS = (
     "var_X_symmetric",
     "kac_limit_reference",
     "tau_cross",
-    "joint_density",
+    "joint_distribution",
     "telegraph_density",
     "telegraph_moment",
     "telegraph_cov",
@@ -39,12 +37,16 @@ ANALYTIC_OPS = (
 )
 
 
-def _spec(name="mean_x_symmetric_check", target="mean_x_symmetric",
-          functional="x_at", params=SYM, point=None, n=50_000, seed=17,
-          **kwargs):
+def _mean_x_symmetric_at(t, x):
+    return (lambda p: analytic.mean_X_symmetric(t, x, Regime.R0, p),
+            lambda p: simulate.functional_x_at(t, x, Regime.R0))
+
+
+def _spec(name="mean_x_symmetric_check", sides=None, params=SYM, n=50_000,
+          seed=17, **kwargs):
+    target, functional = sides or _mean_x_symmetric_at(1.0, 0.0)
     return CheckSpec(
-        name=name, analytic_target=target, mc_functional=functional,
-        params=params, point=point or {"t": 1.0, "x": 0.0, "start": 0},
+        name=name, target=target, functional=functional, params=params,
         config=MCConfig(replicates=n, seed=seed), **kwargs)
 
 
@@ -59,8 +61,10 @@ class TestRunCheck:
     def test_zero_variance_exact_branch(self):
         degenerate = ModelParams(1.0, 0.0, 1.0, -1.0, 1.0, 1.0)
         report = run_check(_spec(
-            name="degenerate", target="t_star", functional="falling_time",
-            params=degenerate, point={"x": 2.0, "start": 1}, n=500))
+            name="degenerate",
+            sides=(lambda p: t_star(2.0, p),
+                   lambda p: simulate.functional_falling_time(2.0, Regime.R1)),
+            params=degenerate, n=500))
         assert report.passed
         assert math.isnan(report.z_score)
         assert report.mc_estimate.std_error == 0.0
@@ -69,22 +73,22 @@ class TestRunCheck:
         # constant functional differing from the exact target in the last
         # decimal: the zero-variance branch demands equality
         report = run_check(_spec(
-            name="corrupted", target="hyper_quad_minor_root",
-            functional="constant", params=UNIT,
-            point={"q": 1.0, "value": 1.0 + 1e-7}, n=100))
+            name="corrupted",
+            sides=(lambda p: analytic.hyper_quad(1.0, p).b0,
+                   lambda p: simulate.functional_constant(1.0 + 1e-7)),
+            params=UNIT, n=100))
         assert not report.passed
 
     def test_corrupted_statistical_target_fails(self):
         # evaluate the mean at the wrong time: a >> 10 sigma discrepancy
-        report = run_check(_spec(point={"t": 0.2, "x": 0.9, "start": 0},
+        report = run_check(_spec(sides=_mean_x_symmetric_at(0.2, 0.9),
                                  name="wrong_point"))
-        ref = run_check(_spec(point={"t": 0.2, "x": 0.9, "start": 0},
+        ref = run_check(_spec(sides=_mean_x_symmetric_at(0.2, 0.9),
                               name="rebuilt"))
         assert report.passed and ref.passed  # sanity: correct point passes
+        target, functional = _mean_x_symmetric_at(1.0, 0.9)
         bad = CheckSpec(
-            name="offset", analytic_target="mean_x_symmetric",
-            mc_functional="x_at", params=SYM,
-            point={"t": 1.0, "x": 0.9, "start": 0},
+            name="offset", target=target, functional=functional, params=SYM,
             config=MCConfig(replicates=50_000, seed=17))
         good = run_check(bad)
         corrupted = CheckReport(
@@ -94,12 +98,6 @@ class TestRunCheck:
         z = (corrupted.mc_estimate.value - corrupted.analytic_value) \
             / corrupted.mc_estimate.std_error
         assert abs(z) > 4.0
-
-    def test_unknown_descriptor_raises(self):
-        with pytest.raises(KeyError):
-            run_check(_spec(target="not_a_target"))
-        with pytest.raises(KeyError):
-            run_check(_spec(functional="not_a_functional"))
 
     def test_analytic_error_is_hard_failure(self):
         asym = ModelParams(1.0, 2.0, 1.0, -2.0, 1.0, 3.0)
@@ -121,21 +119,28 @@ class TestRunCheck:
 
 
 class TestRegistries:
-    def test_targets_and_functionals_resolve(self):
-        for spec in suite_specs("quick"):
-            assert spec.analytic_target in ANALYTIC_TARGETS
-            assert spec.mc_functional in MC_FUNCTIONALS
-
-    def test_every_analytic_op_is_covered(self):
-        assert set(OP_COVERAGE) == set(ANALYTIC_OPS)
-        spec_names = {s.name for s in suite_specs("full")}
-        # Kac reports are produced at run time with these fixed names
-        spec_names |= {"kac_var_lambda_100", "kac_var_lambda_10000",
-                       "kac_mean_lambda_10000"}
-        for op, checks in OP_COVERAGE.items():
-            assert checks, op
-            for check in checks:
-                assert check in spec_names, (op, check)
+    def test_every_analytic_op_is_covered(self, monkeypatch):
+        # Record which check reaches each operation: every full-tier target
+        # is evaluated and every functional sampled on a few hundred paths.
+        reached = {op: set() for op in ANALYTIC_OPS}
+        check = [None]
+        for op in ANALYTIC_OPS:
+            def recorded(*args, _fn=getattr(analytic, op), _op=op, **kwargs):
+                reached[_op].add(check[0])
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(analytic, op, recorded)
+        for spec in suite_specs("full"):
+            check[0] = spec.name
+            spec.target(spec.params)
+            spec.functional(spec.params)(spec.params, chunk_rng(5, 0), 300)
+        # The Kac checks are made at run time, not as CheckSpecs; only their
+        # closed form is recorded here, so their sampler is stubbed.
+        fake = simulate.EstimateWithCI(1.0, 1.0, 1, 0)
+        monkeypatch.setattr(simulate, "estimate_moments",
+                            lambda *args: (fake, fake))
+        check[0] = "kac"
+        harness._kac_reports("quick", 42)
+        assert [op for op, checks in reached.items() if not checks] == []
 
     def test_seeds_differ_across_checks(self):
         seeds = [s.config.seed for s in suite_specs("quick", seed=42)]
@@ -162,6 +167,11 @@ class TestStandardSuite:
         reports = standard_suite("quick", seed=1, only="laplace")
         names = [r.name for r in reports]
         assert names == sorted(names)
+
+    def test_only_selects_matching_kac_checks(self):
+        reports = standard_suite("quick", seed=42, only="var_lambda")
+        assert [r.name for r in reports] == ["kac_var_lambda_100",
+                                             "kac_var_lambda_10000"]
 
     def test_exact_check_in_suite(self):
         reports = standard_suite("quick", only="falling_time_degenerate")

@@ -12,7 +12,6 @@ from oubv.model import (
     band,
     band_coordinate,
     pattern,
-    symmetric_reduction,
     t_star,
 )
 
@@ -167,13 +166,3 @@ class TestBandCoordinate:
         x = 2 * 0.5 - (-1.0)
         assert band_coordinate(x, p) == pytest.approx(-1.0, rel=1e-14)
 
-
-class TestSymmetricReduction:
-    @pytest.mark.parametrize("a0,a1,expected", [
-        (1.0, -1.0, (0.0, 1.0)),
-        (3.0, 1.0, (2.0, 1.0)),
-        (0.0, -4.0, (-2.0, 2.0)),
-    ])
-    def test_values(self, a0, a1, expected):
-        p = ModelParams(1.0, 1.0, a0, a1, 1.0, 1.0)
-        assert symmetric_reduction(p) == expected

@@ -13,7 +13,6 @@ from oubv.specfun import (
     gauss_2f1,
     gh_coefficient,
     kummer_phi,
-    pochhammer,
     psi_pair,
 )
 
@@ -28,21 +27,6 @@ class TestSeriesControl:
             SeriesControl(rel_tol=0.0)
         with pytest.raises(ValueError):
             SeriesControl(max_terms=0)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(2.7, 0) == 1.0
-
-    def test_factorial(self):
-        assert pochhammer(1.0, 4) == 24.0
-
-    def test_small_product(self):
-        assert pochhammer(3.0, 2) == 12.0
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
 
 
 class TestGauss2F1:
