@@ -426,7 +426,7 @@ def _cmd_analytic(config: dict, quantity: str, writer) -> int:
     if not grid:
         raise ConfigError("evaluation grid is empty")
 
-    writer.writerow(["quantity", "start", "t", "s", "x", "q", "n",
+    writer.writerow(["quantity", "start", "t", "s", "x", "q", "z", "n",
                      "value", "method", "terms", "error"])
     worst = EXIT_OK
     for point in grid:
@@ -443,7 +443,7 @@ def _cmd_analytic(config: dict, quantity: str, writer) -> int:
         writer.writerow([
             quantity, str(int(ev["start"])), _fmt(float(ev["t"])),
             _fmt(float(ev["s"])), _fmt(float(ev["x"])), _fmt(float(ev["q"])),
-            str(int(ev["n"])),
+            _fmt(float(ev["z"])), str(int(ev["n"])),
             _fmt(value if value is None else float(value)),
             method or "", "" if terms is None else str(terms), error or "",
         ])

@@ -86,31 +86,31 @@ class TestAnalytic:
                                capsys)
         assert code == 0
         header, rows = parse_csv(out)
-        assert header == ["quantity", "start", "t", "s", "x", "q", "n",
+        assert header == ["quantity", "start", "t", "s", "x", "q", "z", "n",
                           "value", "method", "terms", "error"]
-        assert abs(float(rows[0][7]) - 1.0) < 1e-3
+        assert abs(float(rows[0][8]) - 1.0) < 1e-3
 
     def test_long_run_variance(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "var-x-symmetric",
                                 "--t", "40"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        assert float(rows[0][7]) == pytest.approx(1.0 / 3.0, abs=1e-7)
+        assert float(rows[0][8]) == pytest.approx(1.0 / 3.0, abs=1e-7)
 
     def test_fallback_method_flagged(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "mean-falling",
                                 "--x", "10", "--start", "1"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        assert rows[0][8] == "fallback"
+        assert rows[0][9] == "fallback"
 
     def test_series_method_flagged_with_terms(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "mean-falling",
                                 "--x", "1.5", "--start", "1"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        assert rows[0][8] == "series"
-        assert int(rows[0][9]) > 0
+        assert rows[0][9] == "series"
+        assert int(rows[0][10]) > 0
 
     def test_grid(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "mean-falling",
@@ -119,7 +119,7 @@ class TestAnalytic:
         assert code == 0
         _, rows = parse_csv(out)
         assert [float(r[4]) for r in rows] == [1.2, 1.5, 2.0]
-        values = [float(r[7]) for r in rows]
+        values = [float(r[8]) for r in rows]
         assert values == sorted(values)
 
     def test_unknown_quantity(self, capsys):
@@ -133,22 +133,22 @@ class TestAnalytic:
                                capsys)
         assert code == 2
         _, rows = parse_csv(out)
-        assert rows[0][10] != ""
+        assert rows[0][11] != ""
 
     def test_series_overflow_exit_code(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "occupation-pi00",
                                 "--s", "10000"], capsys)
         assert code == 4
         _, rows = parse_csv(out)
-        assert "overflow" in rows[0][10]
+        assert "overflow" in rows[0][11]
 
     def test_numbers_round_trip(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "mgf-gamma",
                                 "--t", "1.0"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        value = float(rows[0][7])
-        assert "%.17g" % value == rows[0][7]
+        value = float(rows[0][8])
+        assert "%.17g" % value == rows[0][8]
 
 
 class TestConfigHandling:
@@ -160,7 +160,7 @@ class TestConfigHandling:
                                 "--q", "0", "--lambda0", "3"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        assert float(rows[0][7]) == 3.0  # flag wins over file
+        assert float(rows[0][8]) == 3.0  # flag wins over file
 
     def test_config_file_applies(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -170,7 +170,7 @@ class TestConfigHandling:
                                capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        assert float(rows[0][7]) == 2.0
+        assert float(rows[0][8]) == 2.0
 
     def test_dotted_override(self, capsys):
         code, out, _ = run_cli(["--model.lambda0", "4", "analytic",
@@ -178,7 +178,7 @@ class TestConfigHandling:
                                capsys)
         assert code == 0
         _, rows = parse_csv(out)
-        assert float(rows[0][7]) == 4.0
+        assert float(rows[0][8]) == 4.0
 
     def test_unknown_dotted_key(self, capsys):
         code, _, err = run_cli(["--model.nope", "4", "analytic",
@@ -214,7 +214,8 @@ class TestConfigHandling:
         _, rows = parse_csv(outs[0].decode())
         single = [parse_csv(out.decode())[1][0] for out in outs[3:]]
         assert rows == single
-        assert float(rows[0][7]) > 0.0
+        assert [float(r[6]) for r in rows] == [-0.4, 0.3]
+        assert float(rows[0][8]) > 0.0
 
     def test_invalid_model_named_inequality(self, capsys):
         code, _, err = run_cli(["analytic", "--quantity", "mgf-gamma",
