@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from oubv import cli
 from oubv.cli import main
+
+HELP_DIR = Path(__file__).resolve().parent / "data" / "help"
 
 
 def run_cli(args, capsys):
@@ -252,3 +256,37 @@ class TestValidate:
             assert code == 0
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestHelpText:
+    """The four ``--help`` texts, pinned byte for byte at 80 columns."""
+
+    @staticmethod
+    def _help(argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["oubv", "simulate", "analytic",
+                                         "validate"])
+    def test_pinned(self, command, capsys, monkeypatch):
+        argv = ["--help"] if command == "oubv" else [command, "--help"]
+        want = (HELP_DIR / f"{command}.txt").read_text()
+        assert self._help(argv, capsys, monkeypatch) == want
+
+    # the configuration sections each subcommand reads
+    @pytest.mark.parametrize("command,sections", [
+        ("simulate", ("model", "mc", "eval", "sim")),
+        ("analytic", ("model", "eval")),
+        ("validate", ("mc", "validate")),
+    ])
+    def test_every_key_is_a_flag(self, command, sections, capsys,
+                                 monkeypatch):
+        text = self._help([command, "--help"], capsys, monkeypatch)
+        flags = {token.strip("[],") for token in text.split()
+                 if token.strip("[").startswith("--")}
+        for section in sections:
+            for leaf in cli._DEFAULTS[section]:
+                assert f"--{leaf}" in flags, (command, section, leaf)
