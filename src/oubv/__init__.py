@@ -6,7 +6,7 @@ a Monte Carlo cross-validation harness.
 """
 
 from .model import Band, ModelParams, Regime, band, band_coordinate, pattern, t_star
-from .specfun import SeriesControl, SeriesConvergenceError
+from .specfun import SeriesConvergenceError
 from .analytic import HyperQuad, MixedDistribution
 from .simulate import EstimateWithCI, MCConfig, Path
 from .harness import CheckReport, CheckSpec, run_check, standard_suite
@@ -22,7 +22,6 @@ __all__ = [
     "ModelParams",
     "Path",
     "Regime",
-    "SeriesControl",
     "SeriesConvergenceError",
     "band",
     "band_coordinate",

@@ -21,8 +21,6 @@ from scipy import integrate
 
 from .model import ModelParams, Regime, band_coordinate, pattern, t_star
 from .specfun import (
-    DEFAULT_CONTROL,
-    SeriesControl,
     SeriesConvergenceError,
     _sum_series,
     bessel_i,
@@ -139,19 +137,19 @@ def _require_above_band(x: float, params: ModelParams) -> None:
 
 
 def _laplace_falling_any_q(q: float, x: float, start: Regime,
-                           params: ModelParams, ctl: SeriesControl) -> float:
+                           params: ModelParams) -> float:
     z = band_coordinate(x, params)
     hq = _hyper_quad_any_q(q, params)
     if start == Regime.R1:
-        return gauss_2f1(hq.b0, hq.b1, hq.beta0, z, ctl)
+        return gauss_2f1(hq.b0, hq.b1, hq.beta0, z)
     if params.lambda0 == 0.0:
         return 0.0
     return (params.lambda0 / (params.lambda0 + q)
-            * gauss_2f1(hq.b0, hq.b1, hq.beta0 + 1.0, z, ctl))
+            * gauss_2f1(hq.b0, hq.b1, hq.beta0 + 1.0, z))
 
 
-def laplace_falling(q: float, x: float, start: Regime, params: ModelParams,
-                    ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def laplace_falling(q: float, x: float, start: Regime,
+                    params: ModelParams) -> float:
     """Laplace transform of the falling time, E[exp(-q T(x)) | start].
 
     Equivalently the probability that the running maximum over an
@@ -160,12 +158,11 @@ def laplace_falling(q: float, x: float, start: Regime, params: ModelParams,
     if q <= 0:
         raise ValueError("q must be positive")
     _require_above_band(x, params)
-    return _laplace_falling_any_q(q, x, start, params, ctl)
+    return _laplace_falling_any_q(q, x, start, params)
 
 
 def laplace_falling_special(case: str, q: float, x: float, start: Regime,
-                            params: ModelParams,
-                            ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                            params: ModelParams) -> float:
     """Degenerate-rate closed forms of the falling-time transform.
 
     ``case`` names which rate is zero.  With ``lambda0_zero`` the process
@@ -191,12 +188,12 @@ def laplace_falling_special(case: str, q: float, x: float, start: Regime,
         z = band_coordinate(x, params)
         beta0 = (params.lambda0 + q) / params.gamma0
         return (params.lambda0 / (params.lambda0 + q)
-                * gauss_2f1(q / params.gamma1, beta0, beta0 + 1.0, z, ctl))
+                * gauss_2f1(q / params.gamma1, beta0, beta0 + 1.0, z))
     raise ValueError(f"unknown case {case!r}")
 
 
-def _mean_falling_series(x: float, start: Regime, params: ModelParams,
-                         ctl: SeriesControl) -> tuple[float, int]:
+def _mean_falling_series(x: float, start: Regime,
+                         params: ModelParams) -> tuple[float, int]:
     z = band_coordinate(x, params)
     num = params.lambda0 / params.gamma0 + params.lambda1 / params.gamma1
     den = params.lambda0 / params.gamma0
@@ -211,7 +208,7 @@ def _mean_falling_series(x: float, start: Regime, params: ModelParams,
             term *= (num + n - 1.0) / (den + n - 1.0) * z
             yield term / n
 
-    running, n = _sum_series(terms(), "mean falling-time", ctl, z=z,
+    running, n = _sum_series(terms(), "mean falling-time", z=z,
                              detail=" (z={z})")
     value = -slope0 * running
     if start == Regime.R0:
@@ -219,16 +216,15 @@ def _mean_falling_series(x: float, start: Regime, params: ModelParams,
     return value, n
 
 
-def _mean_falling_fd(x: float, start: Regime, params: ModelParams,
-                     ctl: SeriesControl) -> float:
+def _mean_falling_fd(x: float, start: Regime, params: ModelParams) -> float:
     # -dQhat/dq at q = 0, central differences with one Richardson step.
     # The transform formula extends analytically to small |q|, so q < 0
     # evaluations are legitimate (step kept well below lambda0).
     h = 1e-3 * min(1.0, params.lambda0)
 
     def deriv(step: float) -> float:
-        lo = _laplace_falling_any_q(-step, x, start, params, ctl)
-        hi = _laplace_falling_any_q(step, x, start, params, ctl)
+        lo = _laplace_falling_any_q(-step, x, start, params)
+        hi = _laplace_falling_any_q(step, x, start, params)
         return (lo - hi) / (2.0 * step)
 
     d_h = deriv(h)
@@ -236,8 +232,8 @@ def _mean_falling_fd(x: float, start: Regime, params: ModelParams,
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def mean_falling_info(x: float, start: Regime, params: ModelParams,
-                      ctl: SeriesControl = DEFAULT_CONTROL) -> tuple[float, str, int]:
+def mean_falling_info(x: float, start: Regime,
+                      params: ModelParams) -> tuple[float, str, int]:
     """Mean falling time with evaluation metadata (value, method, terms).
 
     Uses the explicit series where it converges; otherwise differentiates
@@ -249,26 +245,24 @@ def mean_falling_info(x: float, start: Regime, params: ModelParams,
     z = band_coordinate(x, params)
     if abs(z) < 1.0:
         try:
-            value, terms = _mean_falling_series(x, start, params, ctl)
+            value, terms = _mean_falling_series(x, start, params)
             return value, "series", terms
         except SeriesConvergenceError:
             pass
-    return _mean_falling_fd(x, start, params, ctl), "fallback", 0
+    return _mean_falling_fd(x, start, params), "fallback", 0
 
 
-def mean_falling(x: float, start: Regime, params: ModelParams,
-                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def mean_falling(x: float, start: Regime, params: ModelParams) -> float:
     """Mean time for the process started at x above the band to fall in."""
-    return mean_falling_info(x, start, params, ctl)[0]
+    return mean_falling_info(x, start, params)[0]
 
 
 # ---------------------------------------------------------------------------
 # Occupation probabilities and moments of the process
 # ---------------------------------------------------------------------------
 
-def occupation_probs(s: float, params: ModelParams,
-                     ctl: SeriesControl = DEFAULT_CONTROL
-                     ) -> tuple[float, float, float, float]:
+def occupation_probs(s: float,
+                     params: ModelParams) -> tuple[float, float, float, float]:
     """Regime occupation probabilities (pi00, pi01, pi10, pi11) at time s.
 
     ``pi_ij`` is the probability that the chain started in regime i sits
@@ -277,8 +271,8 @@ def occupation_probs(s: float, params: ModelParams,
     if s < 0:
         raise ValueError("s must be nonnegative")
     l0, l1 = params.lambda0, params.lambda1
-    psi0_f, psi1_f = psi_pair(s, (l0 - l1) * s, params, ctl)
-    psi0_b, psi1_b = psi_pair(s, (l1 - l0) * s, params, ctl)
+    psi0_f, psi1_f = psi_pair(s, (l0 - l1) * s, params)
+    psi0_b, psi1_b = psi_pair(s, (l1 - l0) * s, params)
     pi00 = math.exp(-l0 * s) * (1.0 + psi0_f)
     pi01 = l0 * math.exp(-l0 * s) * psi1_f
     pi11 = math.exp(-l1 * s) * (1.0 + psi0_b)
@@ -286,8 +280,7 @@ def occupation_probs(s: float, params: ModelParams,
     return (pi00, pi01, pi10, pi11)
 
 
-def mgf_gamma(t: float, start: Regime, params: ModelParams,
-              ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
     """E[exp(-integral of the active relaxation rate up to t) | start]."""
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -295,15 +288,14 @@ def mgf_gamma(t: float, start: Regime, params: ModelParams,
     g0, g1 = params.gamma0, params.gamma1
     if start == Regime.R0:
         w = (l0 - l1 + g0 - g1) * t
-        psi0, psi1 = psi_pair(t, w, params, ctl)
+        psi0, psi1 = psi_pair(t, w, params)
         return math.exp(-(l0 + g0) * t) * (1.0 + psi0 + l0 * psi1)
     w = (l1 - l0 + g1 - g0) * t
-    psi0, psi1 = psi_pair(t, w, params, ctl)
+    psi0, psi1 = psi_pair(t, w, params)
     return math.exp(-(l1 + g1) * t) * (1.0 + psi0 + l1 * psi1)
 
 
-def mean_X(t: float, x: float, start: Regime, params: ModelParams,
-           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def mean_X(t: float, x: float, start: Regime, params: ModelParams) -> float:
     """Mean of the process at time t from (x, start), general parameters.
 
     Convolution of the occupation probabilities with the relaxation
@@ -315,16 +307,16 @@ def mean_X(t: float, x: float, start: Regime, params: ModelParams,
         return float(x)
 
     def to_regime0(s: float) -> float:
-        probs = occupation_probs(s, params, ctl)
+        probs = occupation_probs(s, params)
         pi = probs[0] if start == Regime.R0 else probs[2]
-        return pi * mgf_gamma(t - s, Regime.R0, params, ctl)
+        return pi * mgf_gamma(t - s, Regime.R0, params)
 
     def to_regime1(s: float) -> float:
-        probs = occupation_probs(s, params, ctl)
+        probs = occupation_probs(s, params)
         pi = probs[1] if start == Regime.R0 else probs[3]
-        return pi * mgf_gamma(t - s, Regime.R1, params, ctl)
+        return pi * mgf_gamma(t - s, Regime.R1, params)
 
-    return (x * mgf_gamma(t, start, params, ctl)
+    return (x * mgf_gamma(t, start, params)
             + params.a0 * quad_interval(to_regime0, 0.0, t)
             + params.a1 * quad_interval(to_regime1, 0.0, t))
 
@@ -494,8 +486,8 @@ def joint_density(y: float, t: float, n: int, x: float, start: Regime,
 # Telegraph process toolkit
 # ---------------------------------------------------------------------------
 
-def telegraph_density(i: Regime, j: Regime, t: float, params: ModelParams,
-                      ctl: SeriesControl = DEFAULT_CONTROL) -> MixedDistribution:
+def telegraph_density(i: Regime, j: Regime, t: float,
+                      params: ModelParams) -> MixedDistribution:
     """Joint law of (telegraph position at t, regime at t = j | start = i).
 
     Diagonal entries carry the no-switch atom at a_i t; the continuous
@@ -530,7 +522,7 @@ def telegraph_density(i: Regime, j: Regime, t: float, params: ModelParams,
                 shape = math.sqrt(xi / (t - xi))
             else:
                 shape = math.sqrt((t - xi) / xi)
-            return sqrt_ll / spread * shape * base(xi) * bessel_i(1, arg, ctl)
+            return sqrt_ll / spread * shape * base(xi) * bessel_i(1, arg)
 
         if i == Regime.R0:
             atom = (a0 * t, math.exp(-l0 * t))
@@ -546,7 +538,7 @@ def telegraph_density(i: Regime, j: Regime, t: float, params: ModelParams,
         if not 0.0 < xi < t:
             return 0.0
         arg = 2.0 * math.sqrt(l0 * l1 * xi * (t - xi))
-        return rate / spread * base(xi) * bessel_i(0, arg, ctl)
+        return rate / spread * base(xi) * bessel_i(0, arg)
 
     return MixedDistribution(atoms=(), density=density, support=(lo, hi))
 
@@ -557,8 +549,7 @@ def _require_mirrored_velocities(params: ModelParams) -> None:
 
 
 def telegraph_moment(order: int, i: Regime, j: Regime, t: float,
-                     params: ModelParams,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                     params: ModelParams) -> float:
     """Restricted telegraph moment E[T(t)^order ; regime(t) = j | i].
 
     Series in the switch count with Kummer-combination coefficients;
@@ -587,11 +578,11 @@ def telegraph_moment(order: int, i: Regime, j: Regime, t: float,
     def terms() -> Iterator[float]:
         coeff = lead
         for n in count():
-            yield coeff * gh_coefficient(kind, n, sign_t, params, ctl)
+            yield coeff * gh_coefficient(kind, n, sign_t, params)
             coeff *= (l0 * l1 * t * t
                       / ((2.0 * n + offset) * (2.0 * n + offset + 1.0)))
 
-    return front * _sum_series(terms(), "telegraph moment", ctl, detail="")[0]
+    return front * _sum_series(terms(), "telegraph moment", detail="")[0]
 
 
 def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,
@@ -616,7 +607,6 @@ def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,
 
 
 def telegraph_cov(i: Regime, t: float, s: float, params: ModelParams,
-                  ctl: SeriesControl = DEFAULT_CONTROL,
                   allow_fast_path: bool = True) -> float:
     """Product moment E[T(t) T(s) | start = i] for t > s > 0.
 
@@ -633,7 +623,7 @@ def telegraph_cov(i: Regime, t: float, s: float, params: ModelParams,
                 * (4.0 * lam * s
                    - (1.0 + math.exp(-2.0 * lam * (t - s)))
                    * (1.0 - math.exp(-2.0 * lam * s))))
-    m = lambda o, ii, jj, u: telegraph_moment(o, ii, jj, u, params, ctl)
+    m = lambda o, ii, jj, u: telegraph_moment(o, ii, jj, u, params)
     mean0_rest = m(1, Regime.R0, Regime.R0, t - s) + m(1, Regime.R0, Regime.R1, t - s)
     mean1_rest = m(1, Regime.R1, Regime.R0, t - s) + m(1, Regime.R1, Regime.R1, t - s)
     second_s = m(2, i, Regime.R0, s) + m(2, i, Regime.R1, s)
@@ -643,8 +633,7 @@ def telegraph_cov(i: Regime, t: float, s: float, params: ModelParams,
 
 
 def mgf_restricted(z: float, t: float, n: int, start: Regime,
-                   params: ModelParams,
-                   ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                   params: ModelParams) -> float:
     """E[exp(z T(t)) ; switch count = n | start], mirrored velocities.
 
     At z = 0 this is the probability of exactly n switches.
@@ -670,7 +659,7 @@ def mgf_restricted(z: float, t: float, n: int, start: Regime,
             coeff *= t / k
             if k <= m:
                 coeff *= l0 * l1
-        phi = kummer_phi(m, 2 * m + 1, warg, ctl)
+        phi = kummer_phi(m, 2 * m + 1, warg)
     else:
         m = (n - 1) // 2
         lead = l0 if start == Regime.R0 else l1
@@ -679,5 +668,5 @@ def mgf_restricted(z: float, t: float, n: int, start: Regime,
             coeff *= t / k
             if k <= m:
                 coeff *= l0 * l1
-        phi = kummer_phi(m + 1, 2 * m + 2, warg, ctl)
+        phi = kummer_phi(m + 1, 2 * m + 2, warg)
     return coeff * phi * expo

@@ -37,12 +37,9 @@ class CheckSpec:
     functional: Callable[[ModelParams], Functional]
     params: ModelParams
     config: MCConfig
-    max_z: float = DEFAULT_MAX_Z
     reduction: str = "mean"  # "mean" or "variance"
 
     def __post_init__(self) -> None:
-        if self.max_z <= 0:
-            raise ValueError("max_z must be positive")
         if self.reduction not in ("mean", "variance"):
             raise ValueError("reduction must be 'mean' or 'variance'")
 
@@ -78,7 +75,7 @@ def run_check(spec: CheckSpec) -> CheckReport:
         est = simulate.estimate(functional, spec.params, spec.config)
     if est.std_error > 0.0:
         z = (est.value - target) / est.std_error
-        passed = abs(z) <= spec.max_z
+        passed = abs(z) <= DEFAULT_MAX_Z
     else:
         z = math.nan
         passed = est.value == target

@@ -182,7 +182,7 @@ def advance(state: ChainState, dt, params: ModelParams,
     """
     n = state.x.size
     window = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
-    if np.any(window < 0):
+    if not np.all(window >= 0):
         raise ValueError("advance duration must be nonnegative")
     lam0, lam1 = params.lambda0, params.lambda1
     g0, g1 = params.gamma0, params.gamma1
@@ -229,12 +229,15 @@ def advance(state: ChainState, dt, params: ModelParams,
 
 
 def falling_times(params: ModelParams, x: float, start: Regime,
-                  rng: np.random.Generator, n: int,
-                  max_switches: int = DEFAULT_MAX_SWITCHES) -> np.ndarray:
-    """Vectorized falling-time sampler; exact crossing detection."""
+                  rng: np.random.Generator, n: int) -> np.ndarray:
+    """Vectorized falling-time sampler; exact crossing detection.
+
+    Raises ``RuntimeError`` when some replicate has not fallen after
+    ``DEFAULT_MAX_SWITCHES`` switches.
+    """
     high = params.a0 / params.gamma0
     low = params.a1 / params.gamma1
-    if x <= high:
+    if not x > high:
         raise ValueError("x must exceed a0/gamma0")
     if start == Regime.R0 and params.lambda0 == 0.0:
         raise ValueError("falling time is infinite from regime 0 with lambda0 == 0")
@@ -244,7 +247,7 @@ def falling_times(params: ModelParams, x: float, start: Regime,
     out = np.empty(n)
     done = np.zeros(n, dtype=bool)
     lam = np.array([params.lambda0, params.lambda1])
-    for _ in range(max_switches + 1):
+    for _ in range(DEFAULT_MAX_SWITCHES + 1):
         idx = np.nonzero(~done)[0]
         if idx.size == 0:
             return out
@@ -352,19 +355,17 @@ def functional_exp_z_telegraph(z: float, t: float, start: Regime,
     return functional_of_state(t, 0.0, start, reduce)
 
 
-def functional_falling_time(x: float, start: Regime,
-                            max_switches: int = DEFAULT_MAX_SWITCHES) -> Functional:
+def functional_falling_time(x: float, start: Regime) -> Functional:
     def sample(params: ModelParams, rng: np.random.Generator, n: int) -> np.ndarray:
-        return falling_times(params, x, start, rng, n, max_switches)
+        return falling_times(params, x, start, rng, n)
 
     return sample
 
 
-def functional_exp_q_falling(q: float, x: float, start: Regime,
-                             max_switches: int = DEFAULT_MAX_SWITCHES) -> Functional:
+def functional_exp_q_falling(q: float, x: float, start: Regime) -> Functional:
     def sample(params: ModelParams, rng: np.random.Generator, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return np.exp(-q * falling_times(params, x, start, rng, n, max_switches))
+            return np.exp(-q * falling_times(params, x, start, rng, n))
 
     return sample
 

@@ -1,8 +1,8 @@
 """Series kernels: hypergeometric, Bessel and the switching-count helpers.
 
 All series use compensated (Neumaier) accumulation and a shared truncation
-policy: summation stops once two consecutive terms fall below ``rel_tol``
-times the running sum, and fails after ``max_terms`` terms.  The two-term
+policy: summation stops once two consecutive terms fall below ``REL_TOL``
+times the running sum, and fails after ``MAX_TERMS`` terms.  The two-term
 rule guards against false convergence of alternating series, which occur
 here whenever the band coordinate is negative.
 
@@ -17,70 +17,57 @@ every summand nonnegative for the parameter patterns used in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
 from .model import ModelParams
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for all series evaluations."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# Truncation policy of every series, read at call time.
+REL_TOL = 1e-12
+MAX_TERMS = 10_000
 
 
 class SeriesConvergenceError(RuntimeError):
-    """A series failed to meet rel_tol within max_terms terms."""
+    """A series failed to meet REL_TOL within MAX_TERMS terms."""
 
 
-def _neumaier_step(total: float, comp: float, term: float,
-                   rel_tol: float) -> tuple[float, float, bool]:
+def _neumaier_step(total: float, comp: float,
+                   term: float) -> tuple[float, float, bool]:
     """Add one term to a compensated (Neumaier) sum.
 
     Returns the new sum and compensation, and whether the term is at most
-    ``rel_tol`` times the running value ``sum + compensation``.
+    ``REL_TOL`` times the running value ``sum + compensation``.
     """
     s = total + term
     if abs(total) >= abs(term):
         comp += (total - s) + term
     else:
         comp += (term - s) + total
-    return s, comp, abs(term) <= rel_tol * max(abs(s + comp), 1e-300)
+    return s, comp, abs(term) <= REL_TOL * max(abs(s + comp), 1e-300)
 
 
-def _sum_series(terms: Iterator[float], label: str, ctl: SeriesControl,
-                first: float = 0.0, z: float | None = None,
+def _sum_series(terms: Iterator[float], label: str, first: float = 0.0,
+                z: float | None = None,
                 detail: str = " in {max_terms} terms (z={z})"
                 ) -> tuple[float, int]:
     """Sum ``first`` and the terms of a series; returns (value, terms used).
 
     Stops after two consecutive small terms (see ``_neumaier_step``) and
     raises ``SeriesConvergenceError`` on a non-finite term or when
-    ``ctl.max_terms`` terms do not suffice; ``detail`` completes the
+    ``MAX_TERMS`` terms do not suffice; ``detail`` completes the
     second message and is filled with ``max_terms`` and ``z``.
     """
     total, comp, small = first, 0.0, 0
-    for n, term in zip(range(1, ctl.max_terms + 1), terms):
+    for n, term in zip(range(1, MAX_TERMS + 1), terms):
         if not math.isfinite(term):
             raise SeriesConvergenceError(f"{label} series overflowed")
-        total, comp, is_small = _neumaier_step(total, comp, term, ctl.rel_tol)
+        total, comp, is_small = _neumaier_step(total, comp, term)
         small = small + 1 if is_small else 0
         if small >= 2:
             return total + comp, n
     raise SeriesConvergenceError(f"{label} series did not converge"
-                                 + detail.format(max_terms=ctl.max_terms, z=z))
+                                 + detail.format(max_terms=MAX_TERMS, z=z))
 
 
 def _check_beta(beta: float, name: str = "beta") -> None:
@@ -88,8 +75,7 @@ def _check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must not be zero or a negative integer")
 
 
-def _gauss_series(b0: float, b1: float, beta: float, z: float,
-                  ctl: SeriesControl) -> float:
+def _gauss_series(b0: float, b1: float, beta: float, z: float) -> float:
     # Direct series; caller guarantees 0 <= z < 1.
     def terms() -> Iterator[float]:
         term = 1.0
@@ -97,11 +83,10 @@ def _gauss_series(b0: float, b1: float, beta: float, z: float,
             term *= (b0 + n) * (b1 + n) / ((beta + n) * (n + 1.0)) * z
             yield term
 
-    return _sum_series(terms(), "Gauss", ctl, 1.0, z)[0]
+    return _sum_series(terms(), "Gauss", 1.0, z)[0]
 
 
-def gauss_2f1(b0: float, b1: float, beta: float, z: float,
-              ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def gauss_2f1(b0: float, b1: float, beta: float, z: float) -> float:
     """Gauss hypergeometric F(b0, b1; beta; z) for z < 1.
 
     Direct series on [0, 1); Pfaff-transformed series for z < 0, so the
@@ -111,13 +96,12 @@ def gauss_2f1(b0: float, b1: float, beta: float, z: float,
     if z >= 1.0:
         raise ValueError("argument must satisfy z < 1")
     if z >= 0.0:
-        return _gauss_series(b0, b1, beta, z, ctl)
+        return _gauss_series(b0, b1, beta, z)
     w = z / (z - 1.0)
-    return (1.0 - z) ** (-b0) * _gauss_series(b0, beta - b1, beta, w, ctl)
+    return (1.0 - z) ** (-b0) * _gauss_series(b0, beta - b1, beta, w)
 
 
-def kummer_phi(alpha: float, beta: float, z: float,
-               ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def kummer_phi(alpha: float, beta: float, z: float) -> float:
     """Confluent hypergeometric Phi(alpha, beta; z).
 
     Negative arguments are routed through the Kummer reflection to avoid
@@ -127,7 +111,7 @@ def kummer_phi(alpha: float, beta: float, z: float,
     if alpha == 0.0:
         return 1.0
     if z < 0.0:
-        return math.exp(z) * kummer_phi(beta - alpha, beta, -z, ctl)
+        return math.exp(z) * kummer_phi(beta - alpha, beta, -z)
 
     def terms() -> Iterator[float]:
         term = 1.0
@@ -135,10 +119,10 @@ def kummer_phi(alpha: float, beta: float, z: float,
             term *= (alpha + n) / ((beta + n) * (n + 1.0)) * z
             yield term
 
-    return _sum_series(terms(), "Kummer", ctl, 1.0, z)[0]
+    return _sum_series(terms(), "Kummer", 1.0, z)[0]
 
 
-def bessel_i(order: int, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_i(order: int, z: float) -> float:
     """Modified Bessel function I_0 or I_1 by power series, z >= 0."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
@@ -154,11 +138,10 @@ def bessel_i(order: int, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> floa
             term *= half_sq / ((n + 1.0) * (n + 1.0 + order))
             yield term
 
-    return _sum_series(terms(), "Bessel", ctl, lead, z)[0]
+    return _sum_series(terms(), "Bessel", lead, z)[0]
 
 
-def psi_pair(t: float, z: float, params: ModelParams,
-             ctl: SeriesControl = DEFAULT_CONTROL) -> tuple[float, float]:
+def psi_pair(t: float, z: float, params: ModelParams) -> tuple[float, float]:
     """The two switching-count series driving the regime occupation laws.
 
     Returns ``(psi0, psi1)`` where::
@@ -180,27 +163,26 @@ def psi_pair(t: float, z: float, params: ModelParams,
     c0 = ll * t * t / 2.0          # n = 1 prefactor of psi0
     c1 = t                         # n = 1 prefactor of psi1
     small = 0
-    for n in range(1, ctl.max_terms + 1):
-        term0 = c0 * kummer_phi(n, 2 * n + 1, z, ctl)
-        term1 = c1 * kummer_phi(n, 2 * n, z, ctl)
+    for n in range(1, MAX_TERMS + 1):
+        term0 = c0 * kummer_phi(n, 2 * n + 1, z)
+        term1 = c1 * kummer_phi(n, 2 * n, z)
         if not (math.isfinite(term0) and math.isfinite(term1)):
             raise SeriesConvergenceError("switching-count series overflowed")
-        total0, comp0, done0 = _neumaier_step(total0, comp0, term0, ctl.rel_tol)
-        total1, comp1, done1 = _neumaier_step(total1, comp1, term1, ctl.rel_tol)
+        total0, comp0, done0 = _neumaier_step(total0, comp0, term0)
+        total1, comp1, done1 = _neumaier_step(total1, comp1, term1)
         small = small + 1 if (done0 and done1) else 0
         if small >= 2:
             return (total0 + comp0, total1 + comp1)
         c0 *= ll * t * t / ((2 * n + 1.0) * (2 * n + 2.0))
         c1 *= ll * t * t / ((2 * n) * (2 * n + 1.0))
     raise SeriesConvergenceError(
-        f"switching-count series did not converge in {ctl.max_terms} terms")
+        f"switching-count series did not converge in {MAX_TERMS} terms")
 
 
 _GH_KINDS = ("G1", "H1", "G2", "H2")
 
 
-def gh_coefficient(kind: str, n: int, t: float, params: ModelParams,
-                   ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def gh_coefficient(kind: str, n: int, t: float, params: ModelParams) -> float:
     """Kummer-function combinations entering the telegraph moment series.
 
     The argument of every Kummer factor is ``(lambda0 - lambda1) * t``; the
@@ -213,7 +195,7 @@ def gh_coefficient(kind: str, n: int, t: float, params: ModelParams,
     if n < 0:
         raise ValueError("n must be nonnegative")
     arg = (params.lambda0 - params.lambda1) * t
-    phi = lambda a, b: kummer_phi(a, b, arg, ctl)
+    phi = lambda a, b: kummer_phi(a, b, arg)
     if kind == "G1":
         return phi(n, 2 * n + 1) - (2.0 * n / (2 * n + 1.0)) * phi(n + 1, 2 * n + 2)
     if kind == "H1":

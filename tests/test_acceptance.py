@@ -99,8 +99,7 @@ def test_criterion_04_mean_falling_vs_monte_carlo():
             checks.append((f"x={x} start={int(start)}",
                            abs(est.value - value) / est.std_error))
     # the derivative fallback, evaluated against its own Monte Carlo run
-    fallback_value = analytic._mean_falling_fd(2.5, Regime.R1, SYM,
-                                               analytic.DEFAULT_CONTROL)
+    fallback_value = analytic._mean_falling_fd(2.5, Regime.R1, SYM)
     est = simulate.estimate(simulate.functional_falling_time(2.5, Regime.R1),
                             SYM, MCConfig(replicates=n, seed=seed + 10))
     checks.append(("x=2.5 fallback", abs(est.value - fallback_value) / est.std_error))

@@ -182,14 +182,13 @@ class TestMeanFalling:
 
     def test_series_matches_fallback_in_overlap(self):
         from oubv.analytic import _mean_falling_fd, _mean_falling_series
-        from oubv.specfun import DEFAULT_CONTROL
         for p in (SYM, ASYM):
             for x in (1.2, 1.8, 2.3):
                 for start in (Regime.R0, Regime.R1):
                     if abs(band_coordinate(x, p)) >= 1.0:
                         continue
-                    series, _ = _mean_falling_series(x, start, p, DEFAULT_CONTROL)
-                    fd = _mean_falling_fd(x, start, p, DEFAULT_CONTROL)
+                    series, _ = _mean_falling_series(x, start, p)
+                    fd = _mean_falling_fd(x, start, p)
                     assert fd == pytest.approx(series, rel=1e-5)
 
     def test_monotone_in_x(self):

@@ -113,8 +113,6 @@ class TestRunCheck:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            _spec(max_z=0.0)
-        with pytest.raises(ValueError):
             _spec(reduction="median")
 
 

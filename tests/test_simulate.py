@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oubv import simulate
 from oubv.analytic import mean_X_symmetric
 from oubv.model import ModelParams, Regime, band, pattern, t_star
 from oubv.simulate import (
@@ -174,14 +175,19 @@ class TestFallingTime:
         with pytest.raises(ValueError):
             falling_times(p, 2.0, Regime.R0, chunk_rng(4, 3), 10)
 
-    def test_max_switches_surfaced(self):
+    def test_max_switches_surfaced(self, monkeypatch):
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_SWITCHES", 2)
         with pytest.raises(RuntimeError, match="max_switches"):
-            falling_times(SYM, 3.0, Regime.R0, chunk_rng(4, 4), 1000,
-                          max_switches=2)
+            falling_times(SYM, 3.0, Regime.R0, chunk_rng(4, 4), 1000)
 
     def test_below_edge_rejected(self):
         with pytest.raises(ValueError, match="x must exceed"):
             falling_times(SYM, 0.5, Regime.R0, chunk_rng(4, 5), 10)
+
+    def test_nan_start_rejected(self):
+        # no replicate could ever cross: rejected before any draw
+        with pytest.raises(ValueError, match="x must exceed"):
+            falling_times(SYM, math.nan, Regime.R0, chunk_rng(4, 6), 5)
 
 
 class TestAdvance:
@@ -206,6 +212,13 @@ class TestAdvance:
         advance(two, 1.2, SYM, rng)
         se = np.std(one.x) / math.sqrt(cfg_n) * math.sqrt(2.0)
         assert abs(one.x.mean() - two.x.mean()) < 4 * se
+
+    @pytest.mark.parametrize("dt", [math.nan, [0.5, math.nan, 1.0], -1.0])
+    def test_bad_duration_rejected(self, dt):
+        state = init_state(3, 0.2, Regime.R0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            advance(state, np.asarray(dt), SYM, chunk_rng(8, 2))
+        assert np.all(state.x == 0.2)
 
     def test_per_replicate_durations(self):
         p = ModelParams(0.0, 0.0, 1.0, -1.0, 1.0, 1.0)
