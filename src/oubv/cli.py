@@ -42,8 +42,17 @@ _DEFAULTS: dict[str, dict] = {
     "validate": {"tier": "quick", "only": None},
 }
 
-_INT_KEYS = {"mc.replicates", "mc.seed", "mc.chunk", "eval.n", "eval.start",
-             "sim.bins"}
+# subcommand -> (help, the configuration sections it takes as flags); every
+# key of a section is a flag named by its leaf
+_COMMANDS = {
+    "simulate": ("draw exact paths or samples",
+                 ("model", "mc", "eval", "sim")),
+    "analytic": ("evaluate a closed-form quantity", ("model", "mc", "eval")),
+    "validate": ("run the validation suite", ("model", "mc", "validate")),
+}
+_CHOICES = {"target": ("paths", "falling-time", "histogram"),
+            "tier": ("quick", "full")}
+_TEXT_KEYS = ("sim.target", "validate.tier", "validate.only")
 
 
 class ConfigError(ValueError):
@@ -63,22 +72,33 @@ def _fmt(value) -> str:
 
 
 def _coerce(key: str, raw) -> object:
-    if raw is None:
+    """A configuration value in the type of its key's default.
+
+    Numbers must parse and be finite; ``None`` leaves a key without a
+    default unset.
+    """
+    section, _, leaf = key.partition(".")
+    default = _DEFAULTS[section][leaf]
+    if raw is None and (default is None or key in _TEXT_KEYS):
         return None
-    if key == "eval.grid":
-        if isinstance(raw, str):
-            return [float(v) for v in raw.split(",") if v.strip()]
-        return [float(v) for v in raw]
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in ("sim.target", "validate.tier", "validate.only"):
+    if key in _TEXT_KEYS:
         return str(raw)
-    return float(raw)
-
-
-def _deep_get(config: dict, dotted: str):
-    section, _, leaf = dotted.partition(".")
-    return config[section][leaf]
+    integer = isinstance(default, int)
+    try:
+        if key == "eval.grid":
+            items = ([v for v in raw.split(",") if v.strip()]
+                     if isinstance(raw, str) else raw)
+            value = [float(v) for v in items]
+        else:
+            value = int(raw) if integer else float(raw)
+        finite = all(map(math.isfinite, value if key == "eval.grid"
+                         else [value]))
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{key} must be {kind}, got {raw!r}")
+    return value
 
 
 def _deep_set(config: dict, dotted: str, value) -> None:
@@ -113,19 +133,6 @@ def _extract_dotted_overrides(argv: list[str]) -> tuple[list[str], dict]:
     return rest, overrides
 
 
-_FLAG_MAP = {
-    "lambda0": "model.lambda0", "lambda1": "model.lambda1",
-    "a0": "model.a0", "a1": "model.a1",
-    "gamma0": "model.gamma0", "gamma1": "model.gamma1",
-    "replicates": "mc.replicates", "seed": "mc.seed", "chunk": "mc.chunk",
-    "t": "eval.t", "s": "eval.s", "x": "eval.x", "q": "eval.q",
-    "z": "eval.z", "n": "eval.n", "start": "eval.start", "x0": "eval.x0",
-    "horizon": "eval.horizon", "grid": "eval.grid",
-    "target": "sim.target", "bins": "sim.bins", "lo": "sim.lo", "hi": "sim.hi",
-    "tier": "validate.tier", "only": "validate.only",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oubv",
@@ -133,30 +140,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = ("lambda0", "lambda1", "a0", "a1", "gamma0", "gamma1",
-              "replicates", "seed", "chunk")
-
-    p_sim = sub.add_parser("simulate", help="draw exact paths or samples")
-    p_ana = sub.add_parser("analytic", help="evaluate a closed-form quantity")
-    p_val = sub.add_parser("validate", help="run the validation suite")
-    for p in (p_sim, p_ana, p_val):
+    for command, (help_text, sections) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         # also accepted after the subcommand; SUPPRESS keeps a pre-subcommand
         # value from being clobbered by the subparser default
         p.add_argument("--config", default=argparse.SUPPRESS)
         p.add_argument("--out", default=argparse.SUPPRESS)
-        for name in common:
-            p.add_argument(f"--{name}")
-    for name in ("t", "s", "x", "q", "z", "n", "start", "x0", "horizon", "grid"):
-        p_sim.add_argument(f"--{name}")
-        p_ana.add_argument(f"--{name}")
-    p_sim.add_argument("--target", choices=["paths", "falling-time", "histogram"])
-    p_sim.add_argument("--bins")
-    p_sim.add_argument("--lo")
-    p_sim.add_argument("--hi")
-    p_ana.add_argument("--quantity", required=True)
-    p_val.add_argument("--tier", choices=["quick", "full"])
-    p_val.add_argument("--only")
+        for section in sections:
+            for leaf in _DEFAULTS[section]:
+                p.add_argument(f"--{leaf}", choices=_CHOICES.get(leaf))
+    sub.choices["analytic"].add_argument("--quantity", required=True)
     return parser
 
 
@@ -177,25 +170,12 @@ def _load_config(args: argparse.Namespace, overrides: dict) -> dict:
                 _deep_set(config, f"{section}.{leaf}", value)
     for dotted, value in overrides.items():
         _deep_set(config, dotted, value)
-    for flag, dotted in _FLAG_MAP.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            _deep_set(config, dotted, value)
+    for section, values in _DEFAULTS.items():
+        for leaf in values:
+            value = getattr(args, leaf, None)
+            if value is not None:
+                _deep_set(config, f"{section}.{leaf}", value)
     return config
-
-
-def _model_params(config: dict) -> ModelParams:
-    try:
-        return ModelParams(**config["model"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _mc_config(config: dict) -> simulate.MCConfig:
-    try:
-        return simulate.MCConfig(**config["mc"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _start(config: dict) -> Regime:
@@ -210,8 +190,8 @@ def _start(config: dict) -> Regime:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(config: dict, writer) -> int:
-    params = _model_params(config)
-    mc = _mc_config(config)
+    params = ModelParams(**config["model"])
+    mc = simulate.MCConfig(**config["mc"])
     ev = config["eval"]
     start = _start(config)
     target = config["sim"]["target"]
@@ -234,8 +214,6 @@ def _cmd_simulate(config: dict, writer) -> int:
 
     if target == "falling-time":
         x = float(ev["x"])
-        if x <= params.a0 / params.gamma0:
-            raise ConfigError("x must exceed a0/gamma0")
         values = simulate.sample_functional(
             simulate.functional_falling_time(x, start), params, mc)
         writer.writerow(["replicate", "T"])
@@ -277,28 +255,35 @@ def _cmd_simulate(config: dict, writer) -> int:
 # analytic
 # ---------------------------------------------------------------------------
 
-def _sigma_from_params(params: ModelParams) -> float:
-    if params.lambda0 <= 0:
-        raise ConfigError("kac reference requires lambda0 > 0")
-    return params.a0 / math.sqrt(params.lambda0)
+def _arguments(ev: dict, names: str) -> list:
+    """The values of the space-separated evaluation variables ``names``,
+    with ``start`` as a Regime and ``n`` as an int."""
+    convert = {"start": lambda v: Regime(int(v)), "n": int}
+    return [convert.get(name, lambda v: v)(ev[name]) for name in names.split()]
 
 
-def _quantity_registry() -> dict[str, tuple[str, Callable]]:
-    """quantity name -> (principal eval variable, evaluator).
+def _analytic(name: str, method: str, *lead) -> Callable:
+    """Evaluator calling ``analytic.<name>(*lead, *arguments, params)``.
 
-    Evaluators return (value, method, terms).  Column reuse for quantities
-    whose natural arguments exceed the CSV schema: ``z`` doubles as the
-    position argument of densities and crossing times, ``n`` as the
-    terminal regime of telegraph-density and the order of
-    telegraph-moment.
+    The function is looked up when called, so a wrapper installed on the
+    module sees the call.
+    """
+    def evaluate(params, *args):
+        return getattr(analytic, name)(*lead, *args, params), method, None
+    return evaluate
+
+
+def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
+    """quantity name -> (principal eval variable, argument names, evaluator).
+
+    Evaluators take the model parameters and the named arguments and
+    return (value, method, terms).  Column reuse for quantities whose
+    natural arguments exceed the CSV schema: ``z`` doubles as the position
+    argument of densities and crossing times, ``n`` as the terminal regime
+    of telegraph-density and the order of telegraph-moment.
     """
 
-    def laplace(params, ev):
-        value = analytic.laplace_falling(ev["q"], ev["x"],
-                                         Regime(int(ev["start"])), params)
-        return value, "hypergeometric", None
-
-    def laplace_special(params, ev):
+    def laplace_special(params, q, x, start):
         if params.lambda0 == 0.0:
             case = "lambda0_zero"
         elif params.lambda1 == 0.0:
@@ -306,110 +291,76 @@ def _quantity_registry() -> dict[str, tuple[str, Callable]]:
         else:
             raise ConfigError(
                 "laplace-falling-special requires lambda0 == 0 or lambda1 == 0")
-        value = analytic.laplace_falling_special(case, ev["q"], ev["x"],
-                                                 Regime(int(ev["start"])), params)
+        value = analytic.laplace_falling_special(case, q, x, start, params)
         return value, case, None
 
-    def mean_falling(params, ev):
-        value, method, terms = analytic.mean_falling_info(
-            ev["x"], Regime(int(ev["start"])), params)
-        return value, method, terms
+    def mean_falling(params, x, start):
+        return analytic.mean_falling_info(x, start, params)
 
     def occupation(index):
-        def evaluate(params, ev):
-            probs = analytic.occupation_probs(ev["s"], params)
-            return probs[index], "series", None
+        def evaluate(params, s):
+            return analytic.occupation_probs(s, params)[index], "series", None
         return evaluate
-
-    def mgf_gamma(params, ev):
-        value = analytic.mgf_gamma(ev["t"], Regime(int(ev["start"])), params)
-        return value, "series", None
-
-    def mean_x(params, ev):
-        value = analytic.mean_X(ev["t"], ev["x"], Regime(int(ev["start"])), params)
-        return value, "quadrature", None
-
-    def mean_x_symmetric(params, ev):
-        value = analytic.mean_X_symmetric(ev["t"], ev["x"],
-                                          Regime(int(ev["start"])), params)
-        return value, "closed-form", None
-
-    def var_x_symmetric(params, ev):
-        return analytic.var_X_symmetric(ev["t"], params), "closed-form", None
 
     def kac(index):
-        def evaluate(params, ev):
-            value = analytic.kac_limit_reference(
-                ev["t"], ev["x"], params.gamma0, _sigma_from_params(params))[index]
-            return value, "closed-form", None
+        def evaluate(params, t, x):
+            if params.lambda0 <= 0:
+                raise ConfigError("kac reference requires lambda0 > 0")
+            sigma = params.a0 / math.sqrt(params.lambda0)
+            value = analytic.kac_limit_reference(t, x, params.gamma0, sigma)
+            return value[index], "closed-form", None
         return evaluate
 
-    def tau(branch):
-        def evaluate(params, ev):
-            value = analytic.tau_cross(branch, ev["z"], ev["t"], ev["x"], params)
-            return value, "closed-form", None
-        return evaluate
-
-    def joint_density(params, ev):
-        value = analytic.joint_density(ev["z"], ev["t"], int(ev["n"]), ev["x"],
-                                       Regime(int(ev["start"])), params)
-        return value, "closed-form", None
-
-    def telegraph_density(params, ev):
-        dist = analytic.telegraph_density(Regime(int(ev["start"])),
-                                          Regime(int(ev["n"])), ev["t"], params)
-        return dist.density(ev["z"]), "bessel-series", None
+    def telegraph_density(params, start, n, t, z):
+        dist = analytic.telegraph_density(start, Regime(n), t, params)
+        return dist.density(z), "bessel-series", None
 
     def telegraph_moment(j):
-        def evaluate(params, ev):
-            value = analytic.telegraph_moment(int(ev["n"]),
-                                              Regime(int(ev["start"])),
-                                              Regime(j), ev["t"], params)
+        def evaluate(params, n, start, t):
+            value = analytic.telegraph_moment(n, start, Regime(j), t, params)
             return value, "series", None
         return evaluate
 
-    def telegraph_cov(params, ev):
-        value = analytic.telegraph_cov(Regime(int(ev["start"])), ev["t"],
-                                       ev["s"], params)
-        return value, "series", None
-
-    def mgf_restricted(params, ev):
-        value = analytic.mgf_restricted(ev["z"], ev["t"], int(ev["n"]),
-                                        Regime(int(ev["start"])), params)
-        return value, "series", None
-
     def hyper_quad(attr):
-        def evaluate(params, ev):
-            return getattr(analytic.hyper_quad(ev["q"], params), attr), \
-                "closed-form", None
+        def evaluate(params, q):
+            value = getattr(analytic.hyper_quad(q, params), attr)
+            return value, "closed-form", None
         return evaluate
 
     return {
-        "laplace-falling": ("x", laplace),
-        "laplace-falling-special": ("x", laplace_special),
-        "mean-falling": ("x", mean_falling),
-        "occupation-pi00": ("s", occupation(0)),
-        "occupation-pi01": ("s", occupation(1)),
-        "occupation-pi10": ("s", occupation(2)),
-        "occupation-pi11": ("s", occupation(3)),
-        "mgf-gamma": ("t", mgf_gamma),
-        "mean-x": ("t", mean_x),
-        "mean-x-symmetric": ("t", mean_x_symmetric),
-        "var-x-symmetric": ("t", var_x_symmetric),
-        "kac-reference-mean": ("t", kac(0)),
-        "kac-reference-var": ("t", kac(1)),
-        "tau-cross-tau0": ("z", tau("tau0")),
-        "tau-cross-tau1": ("z", tau("tau1")),
-        "joint-density": ("z", joint_density),
-        "telegraph-density": ("z", telegraph_density),
-        "telegraph-moment-j0": ("t", telegraph_moment(0)),
-        "telegraph-moment-j1": ("t", telegraph_moment(1)),
-        "telegraph-cov": ("t", telegraph_cov),
-        "mgf-restricted": ("t", mgf_restricted),
-        "hyper-quad-b0": ("q", hyper_quad("b0")),
-        "hyper-quad-b1": ("q", hyper_quad("b1")),
-        "hyper-quad-beta0": ("q", hyper_quad("beta0")),
-        "hyper-quad-beta1": ("q", hyper_quad("beta1")),
+        "laplace-falling": ("x", "q x start",
+                            _analytic("laplace_falling", "hypergeometric")),
+        "laplace-falling-special": ("x", "q x start", laplace_special),
+        "mean-falling": ("x", "x start", mean_falling),
+        "occupation-pi00": ("s", "s", occupation(0)),
+        "occupation-pi01": ("s", "s", occupation(1)),
+        "occupation-pi10": ("s", "s", occupation(2)),
+        "occupation-pi11": ("s", "s", occupation(3)),
+        "mgf-gamma": ("t", "t start", _analytic("mgf_gamma", "series")),
+        "mean-x": ("t", "t x start", _analytic("mean_X", "quadrature")),
+        "mean-x-symmetric": ("t", "t x start",
+                             _analytic("mean_X_symmetric", "closed-form")),
+        "var-x-symmetric": ("t", "t",
+                            _analytic("var_X_symmetric", "closed-form")),
+        "kac-reference-mean": ("t", "t x", kac(0)),
+        "kac-reference-var": ("t", "t x", kac(1)),
+        "tau-cross-tau0": ("z", "z t x",
+                           _analytic("tau_cross", "closed-form", "tau0")),
+        "tau-cross-tau1": ("z", "z t x",
+                           _analytic("tau_cross", "closed-form", "tau1")),
+        "joint-density": ("z", "z t n x start",
+                          _analytic("joint_density", "closed-form")),
+        "telegraph-density": ("z", "start n t z", telegraph_density),
+        "telegraph-moment-j0": ("t", "n start t", telegraph_moment(0)),
+        "telegraph-moment-j1": ("t", "n start t", telegraph_moment(1)),
+        "telegraph-cov": ("t", "start t s",
+                          _analytic("telegraph_cov", "series")),
+        "mgf-restricted": ("t", "z t n start",
+                           _analytic("mgf_restricted", "series")),
+        "hyper-quad-b0": ("q", "q", hyper_quad("b0")),
+        "hyper-quad-b1": ("q", "q", hyper_quad("b1")),
+        "hyper-quad-beta0": ("q", "q", hyper_quad("beta0")),
+        "hyper-quad-beta1": ("q", "q", hyper_quad("beta1")),
     }
 
 
@@ -417,8 +368,8 @@ def _cmd_analytic(config: dict, quantity: str, writer) -> int:
     registry = _quantity_registry()
     if quantity not in registry:
         raise ConfigError(f"unknown quantity {quantity!r}")
-    principal, evaluate = registry[quantity]
-    params = _model_params(config)
+    principal, names, evaluate = registry[quantity]
+    params = ModelParams(**config["model"])
     ev = dict(config["eval"])
     grid = ev.get("grid")
     if grid is None:
@@ -433,11 +384,11 @@ def _cmd_analytic(config: dict, quantity: str, writer) -> int:
         ev[principal] = point
         value, method, terms, error = None, None, None, None
         try:
-            value, method, terms = evaluate(params, ev)
+            value, method, terms = evaluate(params, *_arguments(ev, names))
         except SeriesConvergenceError as exc:
             error = str(exc)
             worst = max(worst, EXIT_CONVERGENCE)
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             error = str(exc)
             worst = max(worst, EXIT_CONFIG)
         writer.writerow([
@@ -482,10 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         config = _load_config(args, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -498,9 +446,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "analytic":
             return _cmd_analytic(config, args.quantity, writer)
         return _cmd_validate(config, writer)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -221,6 +221,39 @@ class TestConfigHandling:
         assert [float(r[6]) for r in rows] == [-0.4, 0.3]
         assert float(rows[0][8]) > 0.0
 
+    @pytest.mark.parametrize("argv,key", [
+        (["analytic", "--quantity", "mgf-gamma", "--t", "abc"], "eval.t"),
+        (["analytic", "--quantity", "mgf-gamma", "--t", "nan"], "eval.t"),
+        (["analytic", "--quantity", "mgf-gamma", "--t", "inf"], "eval.t"),
+        (["analytic", "--quantity", "mean-x", "--x", "nan"], "eval.x"),
+        (["analytic", "--quantity", "mean-falling", "--grid", "1,nan"],
+         "eval.grid"),
+        (["analytic", "--quantity", "mgf-gamma", "--n", "1.5"], "eval.n"),
+        (["simulate", "--target", "histogram", "--horizon", "nan"],
+         "eval.horizon"),
+        (["simulate", "--target", "falling-time", "--x", "nan"], "eval.x"),
+        (["validate", "--seed", "x"], "mc.seed"),
+    ])
+    def test_bad_number_is_config_error(self, argv, key, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key} must be ")
+
+    @pytest.mark.parametrize("config,key", [
+        ({"mc": {"seed": "x"}}, "mc.seed"),
+        ({"model": {"a0": None}}, "model.a0"),
+        ({"eval": {"grid": [0.5, "inf"]}}, "eval.grid"),
+    ])
+    def test_bad_config_number_is_config_error(self, config, key, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(["--config", str(cfg), "analytic",
+                                "--quantity", "mgf-gamma"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {key} must be ")
+
     def test_invalid_model_named_inequality(self, capsys):
         code, _, err = run_cli(["analytic", "--quantity", "mgf-gamma",
                                 "--a1", "5", "--gamma1", "1"], capsys)
