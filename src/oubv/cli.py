@@ -77,12 +77,12 @@ def _coerce(key: str, raw) -> object:
     Numbers must parse and be finite; ``None`` leaves a key without a
     default unset.
     """
+    if key in _TEXT_KEYS:
+        return None if raw is None else str(raw)
     section, _, leaf = key.partition(".")
     default = _DEFAULTS[section][leaf]
-    if raw is None and (default is None or key in _TEXT_KEYS):
+    if raw is None and default is None:
         return None
-    if key in _TEXT_KEYS:
-        return str(raw)
     integer = isinstance(default, int)
     try:
         if key == "eval.grid":
