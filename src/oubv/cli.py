@@ -337,7 +337,8 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
         "occupation-pi10": ("s", "s", occupation(2)),
         "occupation-pi11": ("s", "s", occupation(3)),
         "mgf-gamma": ("t", "t start", _analytic("mgf_gamma", "series")),
-        "mean-x": ("t", "t x start", _analytic("mean_X", "quadrature")),
+        "mean-x": ("t", "t x start",
+                   _analytic("mean_X", "generator-exponential")),
         "mean-x-symmetric": ("t", "t x start",
                              _analytic("mean_X_symmetric", "closed-form")),
         "var-x-symmetric": ("t", "t",
