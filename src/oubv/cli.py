@@ -178,11 +178,10 @@ def _load_config(args: argparse.Namespace, overrides: dict) -> dict:
     return config
 
 
-def _start(config: dict) -> Regime:
-    value = int(config["eval"]["start"])
-    if value not in (0, 1):
+def _regime(start: int) -> Regime:
+    if start not in (0, 1):
         raise ConfigError("start must be 0 or 1")
-    return Regime(value)
+    return Regime(start)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def _cmd_simulate(config: dict, writer) -> int:
     params = ModelParams(**config["model"])
     mc = simulate.MCConfig(**config["mc"])
     ev = config["eval"]
-    start = _start(config)
+    start = _regime(ev["start"])
     target = config["sim"]["target"]
 
     if target == "paths":
@@ -258,7 +257,7 @@ def _cmd_simulate(config: dict, writer) -> int:
 def _arguments(ev: dict, names: str) -> list:
     """The values of the space-separated evaluation variables ``names``,
     with ``start`` as a Regime and ``n`` as an int."""
-    convert = {"start": lambda v: Regime(int(v)), "n": int}
+    convert = {"start": _regime, "n": int}
     return [convert.get(name, lambda v: v)(ev[name]) for name in names.split()]
 
 
@@ -434,12 +433,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         config = _load_config(args, overrides)
+        handle = open(args.out, "w", newline="") if args.out else sys.stdout
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_path = args.out
-    handle = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         writer = csv.writer(handle, lineterminator="\n")
         if args.command == "simulate":
@@ -457,7 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
-        if out_path:
+        if args.out:
             handle.close()
 
 

@@ -260,6 +260,27 @@ class TestConfigHandling:
         assert code == 2
         assert "a1/gamma1 < a0/gamma0" in err
 
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code, stdout, err = run_cli(["--out", str(out), "analytic",
+                                     "--quantity", "mgf-gamma"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.parent.exists()
+
+    def test_bad_start_same_message_in_both_subcommands(self, capsys):
+        code, out, err = run_cli(["analytic", "--quantity", "mgf-gamma",
+                                  "--start", "2"], capsys)
+        _, rows = parse_csv(out)
+        assert code == 2
+        assert [row[-1] for row in rows] == ["start must be 0 or 1"]
+        code, out, err = run_cli(["simulate", "--target", "falling-time",
+                                  "--start", "2", "--replicates", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: start must be 0 or 1\n"
+
 
 class TestValidate:
     def test_filtered_subset(self, capsys):
