@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from oubv.analytic import (
     kac_limit_reference,
@@ -16,6 +19,50 @@ from oubv.model import ModelParams, Regime
 
 SYM = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 ASYM = ModelParams(1.0, 2.0, 1.0, -2.0, 1.0, 3.0)
+MGF = ModelParams(1.0, 0.5, 1.0, -1.0, 2.0, 1.0)
+L0Z = ModelParams(0.0, 1.0, 1.0, -1.0, 1.0, 1.0)
+L1Z = ModelParams(1.0, 0.0, 1.0, -1.0, 1.0, 1.0)
+
+
+def _generator(p):
+    """M = [[Q, diag(a)], [0, Q - diag(gamma)]], the forward generator of
+    (regime law, restricted means E[X_t; regime j]), as an mpmath matrix."""
+    l0, l1, a0, a1, g0, g1 = (p.lambda0, p.lambda1, p.a0, p.a1,
+                              p.gamma0, p.gamma1)
+    return mpmath.matrix([[-l0, l0, a0, 0], [l1, -l1, 0, a1],
+                          [0, 0, -l0 - g0, l0], [0, 0, l1, -l1 - g1]])
+
+
+def _generator_mean(t, x, start, p):
+    """Mean from [e_start, x e_start] expm(M t) at 40 digits, and the size
+    of the four parts it sums (regime drifts and carried start point)."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(_generator(p) * mpmath.mpf(t))
+        x = mpmath.mpf(x)
+        parts = [e[start, 2], e[start, 3],
+                 x * e[2 + start, 2], x * e[2 + start, 3]]
+        return mpmath.fsum(parts), mpmath.fsum(abs(v) for v in parts)
+
+
+def _check_mean_x(t, x, start, p):
+    """mean_X is within 1e-12 relative of the 40-digit generator
+    exponential, or raises where the mean is below 1e-3 of the bound
+    |x| + max|a_j| (1 - exp(-g t)) / g on its parts (g = min gamma_j)."""
+    mean, size = _generator_mean(t, x, start, p)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(min(p.gamma0, p.gamma1))
+        bound = (abs(mpmath.mpf(x)) + max(abs(p.a0), abs(p.a1))
+                 * -mpmath.expm1(-g * t) / g)
+        assert size <= bound * (1 + mpmath.mpf("1e-15"))
+    try:
+        value = mean_X(t, x, start, p)
+    except ValueError as exc:
+        assert "cancel" in str(exc)
+        assert abs(mean) < 1.01e-3 * bound, "raised above the bound"
+        return
+    # 5e-324 is the spacing of the floats below the normal range
+    error = abs(mpmath.mpf(value) - mean)
+    assert error <= 1e-12 * abs(mean) + 5e-324, (t, x, start, p)
 
 
 class TestOccupationProbs:
@@ -85,11 +132,59 @@ class TestMeanX:
                 for start in (Regime.R0, Regime.R1):
                     general = mean_X(t, x, start, SYM)
                     closed = mean_X_symmetric(t, x, start, SYM)
-                    assert general == pytest.approx(closed, abs=1e-8)
+                    assert general == pytest.approx(closed, rel=1e-12)
 
     def test_decays_from_inside_band(self):
         assert abs(mean_X(6.0, 0.5, Regime.R0, SYM)) < abs(
             mean_X(0.5, 0.5, Regime.R0, SYM))
+
+    @pytest.mark.parametrize("start", [Regime.R0, Regime.R1])
+    @pytest.mark.parametrize("p", [ASYM, SYM, MGF, L0Z, L1Z],
+                             ids=["ASYM", "SYM", "MGF", "L0Z", "L1Z"])
+    def test_against_forty_digit_generator(self, p, start):
+        for x in (-0.5, 0.0, 0.3, 2.0):
+            for t in (1e-4, 0.5, 2.0, 10.0, 40.0):
+                _check_mean_x(t, x, start, p)
+
+    @pytest.mark.parametrize("t", [20.0, 40.0])
+    def test_cancelling_mean_raises(self, t):
+        # symmetric parameters from x = 0: the regime parts are about 0.17
+        # each and their sum is 4e-9 at t = 20, 8e-18 at t = 40
+        with pytest.raises(ValueError, match="cancel"):
+            mean_X(t, 0.0, Regime.R0, SYM)
+
+    @given(l0=st.floats(0.0, 100.0), l1=st.floats(0.0, 100.0),
+           a0=st.floats(-5.0, 5.0), a1=st.floats(-5.0, 5.0),
+           g0=st.floats(0.1, 10.0), g1=st.floats(0.1, 10.0),
+           t=st.floats(1e-4, 50.0), x=st.floats(-5.0, 5.0),
+           start=st.sampled_from([Regime.R0, Regime.R1]))
+    @settings(max_examples=200, deadline=None)
+    def test_domain_sweep(self, l0, l1, a0, a1, g0, g1, t, x, start):
+        assume(a1 / g1 < a0 / g0)
+        _check_mean_x(t, x, start, ModelParams(l0, l1, a0, a1, g0, g1))
+
+    def test_negative_or_nan_time_rejected(self):
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                mean_X(t, 0.3, Regime.R0, ASYM)
+
+
+class TestPsiSeriesAgainstGenerator:
+    """The paper's psi-series forms are blocks of the generator exponential
+    that ``mean_X`` uses: the upper-left block is the occupation law and the
+    lower-right block's row sums are E[exp(-int gamma)]."""
+
+    @pytest.mark.parametrize("p, grid", [(ASYM, (0.7, 5.0, 20.0, 50.0)),
+                                         (MGF, (0.5, 1.0, 5.0, 10.0))],
+                             ids=["ASYM", "MGF"])
+    def test_blocks(self, p, grid):
+        for t in grid:
+            e = expm(np.array(_generator(p).tolist(), dtype=float) * t)
+            assert occupation_probs(t, p) == pytest.approx(
+                tuple(e[:2, :2].ravel()), rel=1e-13)
+            for start in (Regime.R0, Regime.R1):
+                assert mgf_gamma(t, start, p) == pytest.approx(
+                    e[2 + start, 2:].sum(), rel=1e-13)
 
 
 class TestMeanXSymmetric:
