@@ -170,6 +170,35 @@ def _per_regime(v0: float, v1: float, in_r1: np.ndarray):
     return v0 if v0 == v1 else np.where(in_r1, v1, v0)
 
 
+def _holding_times(rng: np.random.Generator, in_r1: np.ndarray,
+                   params: ModelParams) -> np.ndarray:
+    """One exponential holding time per row, drawn in row order; ``inf``
+    where the row's regime has a zero switching rate."""
+    lam_r = _per_regime(params.lambda0, params.lambda1, in_r1)
+    tau = rng.standard_exponential(in_r1.size)
+    if params.lambda0 > 0.0 and params.lambda1 > 0.0:
+        tau /= lam_r
+        return tau
+    with np.errstate(divide="ignore"):
+        return np.where(lam_r > 0.0, tau / np.where(lam_r > 0.0, lam_r, 1.0),
+                        np.inf)
+
+
+def _relax(x: np.ndarray, step, in_r1: np.ndarray, params: ModelParams):
+    """Flow each row along its regime's relaxation for ``step``, in place.
+
+    x <- fp + (x - fp) exp(-g step), with the same roundings as that form.
+    Returns the rows' relaxation rates g.
+    """
+    fp_r = _per_regime(params.a0 / params.gamma0, params.a1 / params.gamma1,
+                       in_r1)
+    g_r = _per_regime(params.gamma0, params.gamma1, in_r1)
+    x -= fp_r
+    x *= np.exp(-g_r * step)
+    x += fp_r
+    return g_r
+
+
 def advance(state: ChainState, dt, params: ModelParams,
             rng: np.random.Generator) -> None:
     """Advance every replicate by dt (scalar or per-replicate array).
@@ -178,37 +207,23 @@ def advance(state: ChainState, dt, params: ModelParams,
     replicate order, and moves the replicate to the next switch or to the
     end of its window.  The active rows are worked on as compact copies;
     rows are written back to ``state`` and dropped only on a pass where
-    some replicate finishes its window.
+    some replicate finishes its window.  Raises ``RuntimeError`` when some
+    replicate is still active after ``DEFAULT_MAX_SWITCHES`` passes.
     """
     n = state.x.size
     window = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
     if not np.all(window >= 0):
         raise ValueError("advance duration must be nonnegative")
-    lam0, lam1 = params.lambda0, params.lambda1
-    g0, g1 = params.gamma0, params.gamma1
-    fp0, fp1 = params.a0 / g0, params.a1 / g1
-    positive_rates = lam0 > 0.0 and lam1 > 0.0
     idx = np.flatnonzero(window > 0.0)
     x, tv, gv = state.x[idx], state.tvalue[idx], state.gvalue[idx]
     in_r1, ns, rem = state.regime[idx] == 1, state.nswitch[idx], window[idx]
-    while idx.size:
-        lam_r = _per_regime(lam0, lam1, in_r1)
-        tau = rng.standard_exponential(idx.size)
-        if positive_rates:
-            tau /= lam_r
-        else:
-            with np.errstate(divide="ignore"):
-                tau = np.where(lam_r > 0.0,
-                               tau / np.where(lam_r > 0.0, lam_r, 1.0), np.inf)
+    for _ in range(DEFAULT_MAX_SWITCHES + 1):
+        if not idx.size:
+            return
+        tau = _holding_times(rng, in_r1, params)
         step = np.minimum(tau, rem)
-        fp_r = _per_regime(fp0, fp1, in_r1)
-        g_r = _per_regime(g0, g1, in_r1)
-        # x <- fp + (x - fp) exp(-g step) in place, with the same roundings
-        x -= fp_r
-        x *= np.exp(-g_r * step)
-        x += fp_r
+        gv += _relax(x, step, in_r1, params) * step
         tv += _per_regime(params.a0, params.a1, in_r1) * step
-        gv += g_r * step
         switched = tau < rem
         rem -= step
         if switched.all():
@@ -226,14 +241,19 @@ def advance(state: ChainState, dt, params: ModelParams,
         idx, x, tv, gv, rem = idx[keep], x[keep], tv[keep], gv[keep], rem[keep]
         in_r1 = ~in_r1[keep]
         ns = ns[keep] + 1
+    raise RuntimeError("max_switches exceeded while advancing the chain")
 
 
 def falling_times(params: ModelParams, x: float, start: Regime,
                   rng: np.random.Generator, n: int) -> np.ndarray:
     """Vectorized falling-time sampler; exact crossing detection.
 
-    Raises ``RuntimeError`` when some replicate has not fallen after
-    ``DEFAULT_MAX_SWITCHES`` switches.
+    Works like ``advance`` on the compact set of replicates still above
+    the band: each pass draws their holding times, records a regime-1
+    replicate whose crossing of a0/gamma0 comes no later than its switch,
+    and flows the rest to their switch.  A replicate held in regime 0 by
+    a zero rate records ``inf``.  Raises ``RuntimeError`` when some
+    replicate has not fallen after ``DEFAULT_MAX_SWITCHES`` switches.
     """
     high = params.a0 / params.gamma0
     low = params.a1 / params.gamma1
@@ -241,48 +261,26 @@ def falling_times(params: ModelParams, x: float, start: Regime,
         raise ValueError("x must exceed a0/gamma0")
     if start == Regime.R0 and params.lambda0 == 0.0:
         raise ValueError("falling time is infinite from regime 0 with lambda0 == 0")
-    v = np.full(n, float(x))
-    regime = np.full(n, int(start), dtype=np.int8)
-    elapsed = np.zeros(n)
     out = np.empty(n)
-    done = np.zeros(n, dtype=bool)
-    lam = np.array([params.lambda0, params.lambda1])
+    idx = np.arange(n)
+    v = np.full(n, float(x))
+    in_r1 = np.full(n, start == Regime.R1)
+    elapsed = np.zeros(n)
     for _ in range(DEFAULT_MAX_SWITCHES + 1):
-        idx = np.nonzero(~done)[0]
-        if idx.size == 0:
+        if not idx.size:
             return out
-        r = regime[idx]
-        lam_r = lam[r]
-        draws = rng.standard_exponential(idx.size)
-        with np.errstate(divide="ignore"):
-            tau = np.where(lam_r > 0.0, draws / np.where(lam_r > 0.0, lam_r, 1.0),
-                           np.inf)
-        in_r1 = r == 1
-        i1 = idx[in_r1]
-        if i1.size:
-            cross = np.log((v[i1] - low) / (high - low)) / params.gamma1
-            tau1 = tau[in_r1]
-            crossing = cross <= tau1
-            hit = i1[crossing]
-            out[hit] = elapsed[hit] + cross[crossing]
-            done[hit] = True
-            stay = i1[~crossing]
-            dt1 = tau1[~crossing]
-            fp1 = params.a1 / params.gamma1
-            v[stay] = fp1 + (v[stay] - fp1) * np.exp(-params.gamma1 * dt1)
-            elapsed[stay] += dt1
-            regime[stay] = 0
-        i0 = idx[~in_r1]
-        if i0.size:
-            if params.lambda0 == 0.0:
-                out[i0] = np.inf
-                done[i0] = True
-            else:
-                dt0 = tau[~in_r1]
-                fp0 = params.a0 / params.gamma0
-                v[i0] = fp0 + (v[i0] - fp0) * np.exp(-params.gamma0 * dt0)
-                elapsed[i0] += dt0
-                regime[i0] = 1
+        tau = _holding_times(rng, in_r1, params)
+        cross = np.where(in_r1, np.log((v - low) / (high - low)) / params.gamma1,
+                         np.inf)
+        fell = cross <= tau
+        if fell.any():
+            out[idx[fell]] = elapsed[fell] + cross[fell]
+            keep = np.flatnonzero(~fell)
+            idx, v, in_r1 = idx[keep], v[keep], in_r1[keep]
+            elapsed, tau = elapsed[keep], tau[keep]
+        _relax(v, tau, in_r1, params)
+        elapsed += tau
+        np.logical_not(in_r1, out=in_r1)
     raise RuntimeError("max_switches exceeded while sampling falling times")
 
 

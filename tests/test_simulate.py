@@ -220,6 +220,12 @@ class TestAdvance:
             advance(state, np.asarray(dt), SYM, chunk_rng(8, 2))
         assert np.all(state.x == 0.2)
 
+    def test_max_switches_surfaced(self, monkeypatch):
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_SWITCHES", 2)
+        state = init_state(100, 0.0, Regime.R0)
+        with pytest.raises(RuntimeError, match="max_switches exceeded"):
+            advance(state, 1.0, _kac_params(1e4), chunk_rng(8, 3))
+
     def test_per_replicate_durations(self):
         p = ModelParams(0.0, 0.0, 1.0, -1.0, 1.0, 1.0)
         state = init_state(3, 0.0, Regime.R0)
@@ -321,6 +327,85 @@ class TestAdvanceBitIdentity:
             a, b = getattr(new, field.name), getattr(ref, field.name)
             assert a.dtype == b.dtype, field.name
             assert np.array_equal(a, b, equal_nan=True), field.name
+        # the same number of draws: both streams stand at the same point
+        assert np.array_equal(rngs[0].random(4), rngs[1].random(4))
+
+
+def reference_falling_times(params, x, start, rng, n):
+    """The falling-time loop the compact one replaced: every pass rescans
+    all rows for the ones not yet fallen and treats each regime apart."""
+    high = params.a0 / params.gamma0
+    low = params.a1 / params.gamma1
+    v = np.full(n, float(x))
+    regime = np.full(n, int(start), dtype=np.int8)
+    elapsed = np.zeros(n)
+    out = np.empty(n)
+    done = np.zeros(n, dtype=bool)
+    lam = np.array([params.lambda0, params.lambda1])
+    for _ in range(simulate.DEFAULT_MAX_SWITCHES + 1):
+        idx = np.nonzero(~done)[0]
+        if idx.size == 0:
+            return out
+        r = regime[idx]
+        lam_r = lam[r]
+        draws = rng.standard_exponential(idx.size)
+        with np.errstate(divide="ignore"):
+            tau = np.where(lam_r > 0.0, draws / np.where(lam_r > 0.0, lam_r, 1.0),
+                           np.inf)
+        in_r1 = r == 1
+        i1 = idx[in_r1]
+        if i1.size:
+            cross = np.log((v[i1] - low) / (high - low)) / params.gamma1
+            tau1 = tau[in_r1]
+            crossing = cross <= tau1
+            hit = i1[crossing]
+            out[hit] = elapsed[hit] + cross[crossing]
+            done[hit] = True
+            stay = i1[~crossing]
+            dt1 = tau1[~crossing]
+            fp1 = params.a1 / params.gamma1
+            v[stay] = fp1 + (v[stay] - fp1) * np.exp(-params.gamma1 * dt1)
+            elapsed[stay] += dt1
+            regime[stay] = 0
+        i0 = idx[~in_r1]
+        if i0.size:
+            if params.lambda0 == 0.0:
+                out[i0] = np.inf
+                done[i0] = True
+            else:
+                dt0 = tau[~in_r1]
+                fp0 = params.a0 / params.gamma0
+                v[i0] = fp0 + (v[i0] - fp0) * np.exp(-params.gamma0 * dt0)
+                elapsed[i0] += dt0
+                regime[i0] = 1
+    raise RuntimeError("max_switches exceeded while sampling falling times")
+
+
+# (params, starts): a zero lambda0 makes the fall from regime 0 infinite,
+# which falling_times rejects, so L0Z starts in regime 1 only
+FALLING_CASES = {
+    "SYM": (SYM, (Regime.R0, Regime.R1)),
+    "ASYM": (ASYM, (Regime.R0, Regime.R1)),
+    "L0Z": (ModelParams(0.0, 1.0, 1.0, -1.0, 1.0, 1.0), (Regime.R1,)),
+    "L1Z": (ModelParams(1.0, 0.0, 1.0, -1.0, 1.0, 1.0), (Regime.R0, Regime.R1)),
+    "dense": (ModelParams(50.0, 30.0, 2.0, -1.0, 0.5, 3.0),
+              (Regime.R0, Regime.R1)),
+}
+
+
+class TestFallingBitIdentity:
+    @pytest.mark.parametrize("n", [1, 1_000, 20_000])
+    @pytest.mark.parametrize("scale", [1.0 + 1e-12, 1.5, 4.0, 30.0])
+    @pytest.mark.parametrize("case, start", [
+        (case, start) for case, (_, starts) in sorted(FALLING_CASES.items())
+        for start in starts])
+    def test_matches_reference_loop(self, case, start, scale, n):
+        params = FALLING_CASES[case][0]
+        x = scale * params.a0 / params.gamma0
+        rngs = [chunk_rng(62, 0), chunk_rng(62, 0)]
+        new = falling_times(params, x, start, rngs[0], n)
+        ref = reference_falling_times(params, x, start, rngs[1], n)
+        assert np.array_equal(new, ref)
         # the same number of draws: both streams stand at the same point
         assert np.array_equal(rngs[0].random(4), rngs[1].random(4))
 
