@@ -304,8 +304,10 @@ def mean_X(t: float, x: float, start: Regime, params: ModelParams) -> float:
     generator and mu_j = E[X_t; regime j].  Raises ValueError where the mean
     is below 1e-3 of |x| + max|a_j| (1 - e^(-g t)) / g, g = min gamma_j.
     """
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     l0, l1, a0, a1, g0, g1 = astuple(params)
     unit = max(abs(a0), abs(a1))  # the drift is linear in a
     q = np.array([[-l0, l0], [l1, -l1]])

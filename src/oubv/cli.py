@@ -47,8 +47,8 @@ _DEFAULTS: dict[str, dict] = {
 _COMMANDS = {
     "simulate": ("draw exact paths or samples",
                  ("model", "mc", "eval", "sim")),
-    "analytic": ("evaluate a closed-form quantity", ("model", "mc", "eval")),
-    "validate": ("run the validation suite", ("model", "mc", "validate")),
+    "analytic": ("evaluate a closed-form quantity", ("model", "eval")),
+    "validate": ("run the validation suite", ("mc", "validate")),
 }
 _CHOICES = {"target": ("paths", "falling-time", "histogram"),
             "tier": ("quick", "full")}
@@ -178,10 +178,10 @@ def _load_config(args: argparse.Namespace, overrides: dict) -> dict:
     return config
 
 
-def _regime(start: int) -> Regime:
-    if start not in (0, 1):
-        raise ConfigError("start must be 0 or 1")
-    return Regime(start)
+def _regime(value: int, name: str = "start") -> Regime:
+    if value not in (0, 1):
+        raise ConfigError(f"{name} must be 0 or 1")
+    return Regime(value)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
         return evaluate
 
     def telegraph_density(params, start, n, t, z):
-        dist = analytic.telegraph_density(start, Regime(n), t, params)
+        dist = analytic.telegraph_density(start, _regime(n, "n"), t, params)
         return dist.density(z), "bessel-series", None
 
     def telegraph_moment(j):

@@ -164,9 +164,12 @@ class TestMeanX:
         _check_mean_x(t, x, start, ModelParams(l0, l1, a0, a1, g0, g1))
 
     def test_negative_or_nan_time_rejected(self):
-        for t in (-0.1, math.nan):
-            with pytest.raises(ValueError, match="nonnegative"):
+        for t in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
                 mean_X(t, 0.3, Regime.R0, ASYM)
+        for x in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                mean_X(1.0, x, Regime.R0, ASYM)
 
 
 class TestPsiSeriesAgainstGenerator:

@@ -282,6 +282,25 @@ class TestConfigHandling:
         assert err == "error: start must be 0 or 1\n"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--only", "hyper", "--lambda0", "5"],
+        ["analytic", "--quantity", "mgf-gamma", "--seed", "3"],
+    ])
+    def test_flag_of_unread_section_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+
+    def test_telegraph_density_bad_terminal_regime(self, capsys):
+        code, out, _ = run_cli(["analytic", "--quantity", "telegraph-density",
+                                "--n", "2"], capsys)
+        _, rows = parse_csv(out)
+        assert code == 2
+        assert [row[-1] for row in rows] == ["n must be 0 or 1"]
+
 class TestValidate:
     def test_filtered_subset(self, capsys):
         code, out, err = run_cli(["validate", "--tier", "quick",
