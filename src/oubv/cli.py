@@ -42,13 +42,13 @@ _DEFAULTS: dict[str, dict] = {
     "validate": {"tier": "quick", "only": None},
 }
 
-# subcommand -> (help, the configuration sections it takes as flags); every
-# key of a section is a flag named by its leaf
+# subcommand -> (help, the configuration sections or dotted keys it takes as
+# flags); each key is a flag named by its leaf, a section gives all its keys
 _COMMANDS = {
     "simulate": ("draw exact paths or samples",
                  ("model", "mc", "eval", "sim")),
     "analytic": ("evaluate a closed-form quantity", ("model", "eval")),
-    "validate": ("run the validation suite", ("mc", "validate")),
+    "validate": ("run the validation suite", ("mc.seed", "validate")),
 }
 _CHOICES = {"target": ("paths", "falling-time", "histogram"),
             "tier": ("quick", "full")}
@@ -146,8 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
         # value from being clobbered by the subparser default
         p.add_argument("--config", default=argparse.SUPPRESS)
         p.add_argument("--out", default=argparse.SUPPRESS)
-        for section in sections:
-            for leaf in _DEFAULTS[section]:
+        for entry in sections:
+            section, _, key = entry.partition(".")
+            for leaf in [key] if key else _DEFAULTS[section]:
                 p.add_argument(f"--{leaf}", choices=_CHOICES.get(leaf))
     sub.choices["analytic"].add_argument("--quantity", required=True)
     return parser

@@ -302,6 +302,16 @@ class TestConfigHandling:
         assert [row[-1] for row in rows] == ["n must be 0 or 1"]
 
 class TestValidate:
+    # validate reads only mc.seed of the Monte Carlo section
+    @pytest.mark.parametrize("flag", ["--replicates", "--chunk"])
+    def test_unread_mc_key_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--only", "hyper", flag, "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 5" in captured.err
+
     def test_filtered_subset(self, capsys):
         code, out, err = run_cli(["validate", "--tier", "quick",
                                   "--only", "hyper_quad"], capsys)
