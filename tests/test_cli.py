@@ -359,17 +359,23 @@ class TestHelpText:
         want = (HELP_DIR / f"{command}.txt").read_text()
         assert self._help(argv, capsys, monkeypatch) == want
 
-    # the configuration sections each subcommand reads
+    # the configuration sections, or single dotted keys, each subcommand
+    # reads; its flags are these keys' leaves and no others
     @pytest.mark.parametrize("command,sections", [
         ("simulate", ("model", "mc", "eval", "sim")),
         ("analytic", ("model", "eval")),
-        ("validate", ("mc", "validate")),
+        ("validate", ("mc.seed", "validate.tier", "validate.only")),
     ])
     def test_every_key_is_a_flag(self, command, sections, capsys,
                                  monkeypatch):
         text = self._help([command, "--help"], capsys, monkeypatch)
         flags = {token.strip("[],") for token in text.split()
                  if token.strip("[").startswith("--")}
-        for section in sections:
-            for leaf in cli._DEFAULTS[section]:
-                assert f"--{leaf}" in flags, (command, section, leaf)
+        want = {"--help", "--config", "--out"}
+        if command == "analytic":
+            want.add("--quantity")
+        for entry in sections:
+            section, _, key = entry.partition(".")
+            want.update(f"--{leaf}"
+                        for leaf in ([key] if key else cli._DEFAULTS[section]))
+        assert flags == want
