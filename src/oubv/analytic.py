@@ -26,7 +26,6 @@ from .specfun import (
     _sum_series,
     bessel_i,
     gauss_2f1,
-    gh_coefficient,
     kummer_phi,
     psi_pair,
 )
@@ -108,6 +107,11 @@ def quad_interval(f: Callable[[float], float], lo: float, hi: float,
     mid = 0.5 * (lo + hi)
     return (quad_interval(f, lo, mid, _depth + 1)
             + quad_interval(f, mid, hi, _depth + 1))
+
+
+def _require_time(t: float, name: str = "t") -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +273,7 @@ def occupation_probs(s: float,
     ``pi_ij`` is the probability that the chain started in regime i sits
     in regime j; rows sum to one.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    _require_time(s, "s")
     l0, l1 = params.lambda0, params.lambda1
     psi0_f, psi1_f = psi_pair(s, (l0 - l1) * s, params)
     psi0_b, psi1_b = psi_pair(s, (l1 - l0) * s, params)
@@ -283,8 +286,7 @@ def occupation_probs(s: float,
 
 def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
     """E[exp(-integral of the active relaxation rate up to t) | start]."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _require_time(t)
     l0, l1 = params.lambda0, params.lambda1
     g0, g1 = params.gamma0, params.gamma1
     if start == Regime.R0:
@@ -296,26 +298,50 @@ def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
     return math.exp(-(l1 + g1) * t) * (1.0 + psi0 + l1 * psi1)
 
 
+def _moment_exponential(order: int, t: float, params: ModelParams,
+                        gamma: tuple[float, float]
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Van Loan exponential of the regime-restricted moments of Y' = a_e - g_e Y.
+
+    e = expm(M t) for M = [[Q, A, 0], [0, Q - G, 2 A], [0, 0, Q - 2 G]] cut
+    after block ``order`` (1: 4x4, 2: 6x6), Q the switching generator,
+    A = diag(a) / unit with unit = max|a_j|, G = diag(gamma).  moments[i, k]
+    holds E[Y(t)^k ; regime j | Y(0) = 0, regime i] for j = 0, 1 and their
+    sum over j.
+    """
+    unit = max(abs(params.a0), abs(params.a1))  # Y is linear in a
+    l0, l1 = params.lambda0, params.lambda1
+    q = np.array([[-l0, l0], [l1, -l1]])
+    a = np.diag([params.a0, params.a1]) / unit
+    m = np.zeros((2 * order + 2, 2 * order + 2))
+    for k in range(order + 1):
+        m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = q - k * np.diag(gamma)
+        if k:
+            m[2 * k - 2:2 * k, 2 * k:2 * k + 2] = k * a
+    e = linalg.expm(t * m)
+    blocks = e[:2].reshape(2, order + 1, 2)
+    moments = np.concatenate([blocks, blocks.sum(axis=2, keepdims=True)], 2)
+    # P(regime j) sums to one; this undoes expm's zero-eigenvalue error
+    moments = (unit ** np.arange(order + 1.0))[:, None] * (
+        moments / moments[:, :1, 2:])
+    return e, moments
+
+
 def mean_X(t: float, x: float, start: Regime, params: ModelParams) -> float:
     """Mean of the process at time t from (x, start), general parameters.
 
-    mu_0 + mu_1, with [P(regime j), mu_j] = [e_start, x e_start] expm(M t),
-    M = [[Q, diag(a)], [0, Q - diag(gamma)]] (Van Loan), Q the switching
-    generator and mu_j = E[X_t; regime j].  Raises ValueError where the mean
-    is below 1e-3 of |x| + max|a_j| (1 - e^(-g t)) / g, g = min gamma_j.
+    The moment exponential of order 1 with the model's gamma, plus x times
+    row 2 + start of it (the decay of the start position).  Raises
+    ValueError where the mean is below 1e-3 of
+    |x| + max|a_j| (1 - e^(-g t)) / g, g = min gamma_j.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be nonnegative and finite")
+    _require_time(t)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    l0, l1, a0, a1, g0, g1 = astuple(params)
-    unit = max(abs(a0), abs(a1))  # the drift is linear in a
-    q = np.array([[-l0, l0], [l1, -l1]])
-    e = linalg.expm(t * np.block([[q, np.diag([a0, a1]) / unit],
-                                  [np.zeros((2, 2)), q - np.diag([g0, g1])]]))
-    # P(regime j) sums to one; this undoes expm's zero-eigenvalue error
-    drift = unit * (e[start, 2:].sum() / (e[start, 0] + e[start, 1]))
-    mean = float(drift + x * e[2 + start, 2:].sum())
+    g0, g1 = params.gamma0, params.gamma1
+    e, moments = _moment_exponential(1, t, params, (g0, g1))
+    mean = float(moments[start, 1, 2] + x * e[2 + start, 2:].sum())
+    unit = max(abs(params.a0), abs(params.a1))
     g = min(g0, g1)  # the bound is at least |mu_0| + |mu_1|
     bound = abs(x) + unit * -math.expm1(-g * t) / g
     if abs(mean) < 1e-3 * bound:
@@ -346,8 +372,7 @@ def mean_X_symmetric(t: float, x: float, start: Regime,
                      params: ModelParams) -> float:
     """Closed-form mean of the process under fully symmetric parameters."""
     _require_symmetric(params)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _require_time(t)
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
     swing = _exp_divided_difference(2.0 * lam, gamma, t)
     sign = 1.0 if start == Regime.R0 else -1.0
@@ -361,8 +386,7 @@ def var_X_symmetric(t: float, params: ModelParams) -> float:
     only in sign).  Tends to a^2 / (gamma (gamma + 2 lambda)).
     """
     _require_symmetric(params)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _require_time(t)
     if t == 0:
         return 0.0
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
@@ -435,8 +459,7 @@ def joint_distribution(t: float, n: int, x: float, start: Regime,
     _require_symmetric(params)
     if n not in (0, 1, 2):
         raise ValueError("closed forms available for n in {0, 1, 2} only")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _require_time(t)
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
     lo, hi = reachable_interval(t, x, params)
     support = (lo, hi)
@@ -555,37 +578,15 @@ def telegraph_moment(order: int, i: Regime, j: Regime, t: float,
                      params: ModelParams) -> float:
     """Restricted telegraph moment E[T(t)^order ; regime(t) = j | i].
 
-    Series in the switch count with Kummer-combination coefficients;
+    Block ``order`` of row i of the moment exponential with gamma = 0;
     requires mirrored velocities.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     _require_mirrored_velocities(params)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    l0, l1 = params.lambda0, params.lambda1
-    rate = l0 if i == Regime.R0 else l1
-    front = params.a0 ** order * math.exp(-rate * t)
-    if order == 1 and i == Regime.R1:
-        front = -front
-    sign_t = t if i == Regime.R0 else -t
-    if i == j:
-        # prefactor (l0 l1)^n t^(2n + order) / (2n)!
-        kind, lead, offset = f"G{order}", t ** order, 1.0
-    else:
-        # prefactor l_i^(n+1) l_(1-i)^n t^(2n + order + 1) / (2n + 1)!
-        kind, lead, offset = f"H{order}", rate * t ** (order + 1), 2.0
-
-    def terms() -> Iterator[float]:
-        coeff = lead
-        for n in count():
-            yield coeff * gh_coefficient(kind, n, sign_t, params)
-            coeff *= (l0 * l1 * t * t
-                      / ((2.0 * n + offset) * (2.0 * n + offset + 1.0)))
-
-    return front * _sum_series(terms(), "telegraph moment", detail="")[0]
+    _require_time(t)
+    moments = _moment_exponential(order, t, params, (0.0, 0.0))[1]
+    return float(moments[i, order, j])
 
 
 def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,
@@ -596,6 +597,7 @@ def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,
         raise ValueError("requires lambda0 == lambda1 > 0")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    _require_time(t)
     lam, a = params.lambda0, params.a0
     decay = math.exp(-2.0 * lam * t)
     if order == 1:
@@ -609,30 +611,20 @@ def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,
             - a * a / (2.0 * lam * lam) * (1.0 - decay))
 
 
-def telegraph_cov(i: Regime, t: float, s: float, params: ModelParams,
-                  allow_fast_path: bool = True) -> float:
+def telegraph_cov(i: Regime, t: float, s: float, params: ModelParams) -> float:
     """Product moment E[T(t) T(s) | start = i] for t > s > 0.
 
-    Splits the product at s using the Markov property; the equal-rate case
-    has a closed form used as a fast path.
+    Splits the product at s using the Markov property:
+    E[T(s)^2 | i] + sum_j E[T(s) ; regime j | i] E[T(t - s) | j], from one
+    moment exponential of order 2 at s and one of order 1 at t - s.
     """
     _require_mirrored_velocities(params)
     if not t > s > 0:
         raise ValueError("requires t > s > 0")
-    l0, l1 = params.lambda0, params.lambda1
-    if allow_fast_path and l0 == l1 and l0 > 0:
-        lam, a = l0, params.a0
-        return (a * a / (4.0 * lam * lam)
-                * (4.0 * lam * s
-                   - (1.0 + math.exp(-2.0 * lam * (t - s)))
-                   * (1.0 - math.exp(-2.0 * lam * s))))
-    m = lambda o, ii, jj, u: telegraph_moment(o, ii, jj, u, params)
-    mean0_rest = m(1, Regime.R0, Regime.R0, t - s) + m(1, Regime.R0, Regime.R1, t - s)
-    mean1_rest = m(1, Regime.R1, Regime.R0, t - s) + m(1, Regime.R1, Regime.R1, t - s)
-    second_s = m(2, i, Regime.R0, s) + m(2, i, Regime.R1, s)
-    return (mean0_rest * m(1, i, Regime.R0, s)
-            + mean1_rest * m(1, i, Regime.R1, s)
-            + second_s)
+    _require_time(t)
+    at_s = _moment_exponential(2, s, params, (0.0, 0.0))[1][i]
+    rest = _moment_exponential(1, t - s, params, (0.0, 0.0))[1]
+    return float(at_s[2, 2] + at_s[1, :2] @ rest[:, 1, 2])
 
 
 def mgf_restricted(z: float, t: float, n: int, start: Regime,
@@ -642,8 +634,7 @@ def mgf_restricted(z: float, t: float, n: int, start: Regime,
     At z = 0 this is the probability of exactly n switches.
     """
     _require_mirrored_velocities(params)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _require_time(t)
     if n < 0:
         raise ValueError("n must be nonnegative")
     l0, l1 = params.lambda0, params.lambda1

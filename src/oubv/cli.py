@@ -318,7 +318,7 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
     def telegraph_moment(j):
         def evaluate(params, n, start, t):
             value = analytic.telegraph_moment(n, start, Regime(j), t, params)
-            return value, "series", None
+            return value, "generator-exponential", None
         return evaluate
 
     def hyper_quad(attr):
@@ -355,7 +355,7 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
         "telegraph-moment-j0": ("t", "n start t", telegraph_moment(0)),
         "telegraph-moment-j1": ("t", "n start t", telegraph_moment(1)),
         "telegraph-cov": ("t", "start t s",
-                          _analytic("telegraph_cov", "series")),
+                          _analytic("telegraph_cov", "generator-exponential")),
         "mgf-restricted": ("t", "z t n start",
                            _analytic("mgf_restricted", "series")),
         "hyper-quad-b0": ("q", "q", hyper_quad("b0")),

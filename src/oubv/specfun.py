@@ -178,32 +178,3 @@ def psi_pair(t: float, z: float, params: ModelParams) -> tuple[float, float]:
     raise SeriesConvergenceError(
         f"switching-count series did not converge in {MAX_TERMS} terms")
 
-
-_GH_KINDS = ("G1", "H1", "G2", "H2")
-
-
-def gh_coefficient(kind: str, n: int, t: float, params: ModelParams) -> float:
-    """Kummer-function combinations entering the telegraph moment series.
-
-    The argument of every Kummer factor is ``(lambda0 - lambda1) * t``; the
-    mirrored starting regime is reached by passing ``-t``.  When the rates
-    agree the combinations collapse to 1/(2n+1), 0, 1/(2n+1), 1/(2n+3) for
-    G1, H1, G2, H2 respectively.
-    """
-    if kind not in _GH_KINDS:
-        raise ValueError(f"kind must be one of {_GH_KINDS}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    arg = (params.lambda0 - params.lambda1) * t
-    phi = lambda a, b: kummer_phi(a, b, arg)
-    if kind == "G1":
-        return phi(n, 2 * n + 1) - (2.0 * n / (2 * n + 1.0)) * phi(n + 1, 2 * n + 2)
-    if kind == "H1":
-        return phi(n + 1, 2 * n + 2) - phi(n + 2, 2 * n + 3)
-    if kind == "G2":
-        return ((2.0 * n / (2 * n + 1.0)) * phi(n + 2, 2 * n + 3)
-                - (4.0 * n / (2 * n + 1.0)) * phi(n + 1, 2 * n + 2)
-                + phi(n, 2 * n + 1))
-    return ((2.0 * n + 4.0) / (2 * n + 3.0) * phi(n + 3, 2 * n + 4)
-            - 2.0 * phi(n + 2, 2 * n + 3)
-            + phi(n + 1, 2 * n + 2))

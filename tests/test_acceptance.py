@@ -203,7 +203,7 @@ def test_criterion_08_telegraph_distribution():
 
 
 def test_criterion_09_telegraph_moments_and_covariance():
-    # symmetric closed forms reproduced by the general series
+    # symmetric closed forms reproduced by the generator exponential
     worst_rel = 0.0
     t, s = 0.8, 0.3
     for order in (1, 2):
@@ -215,9 +215,14 @@ def test_criterion_09_telegraph_moments_and_covariance():
                     worst_rel = max(worst_rel, abs(series))
                 else:
                     worst_rel = max(worst_rel, abs(series - closed) / abs(closed))
-    cov_closed = telegraph_cov(Regime.R0, t, s, SYM)
-    cov_series = telegraph_cov(Regime.R0, t, s, SYM, allow_fast_path=False)
-    worst_rel = max(worst_rel, abs(cov_series - cov_closed) / abs(cov_closed))
+    # equal rates lam: E[T(t) T(s)] = a^2 / (4 lam^2) (4 lam s
+    # - (1 + e^(-2 lam (t - s))) (1 - e^(-2 lam s)))
+    lam, a = SYM.lambda0, SYM.a0
+    cov_closed = (a * a / (4.0 * lam * lam)
+                  * (4.0 * lam * s - (1.0 + math.exp(-2.0 * lam * (t - s)))
+                     * (1.0 - math.exp(-2.0 * lam * s))))
+    cov = telegraph_cov(Regime.R0, t, s, SYM)
+    worst_rel = max(worst_rel, abs(cov - cov_closed) / abs(cov_closed))
 
     # asymmetric rates against 1e6-replicate Monte Carlo
     params = ModelParams(1.0, 3.0, 1.0, -1.0, 1.0, 1.0)

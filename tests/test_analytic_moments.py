@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oubv.analytic import (
+    joint_distribution,
     kac_limit_reference,
     mean_X,
     mean_X_symmetric,
     mgf_gamma,
+    mgf_restricted,
     occupation_probs,
+    telegraph_moment,
+    telegraph_moment_symmetric,
     var_X_symmetric,
 )
 from oubv.model import ModelParams, Regime
@@ -22,6 +26,31 @@ ASYM = ModelParams(1.0, 2.0, 1.0, -2.0, 1.0, 3.0)
 MGF = ModelParams(1.0, 0.5, 1.0, -1.0, 2.0, 1.0)
 L0Z = ModelParams(0.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 L1Z = ModelParams(1.0, 0.0, 1.0, -1.0, 1.0, 1.0)
+MIRROR_ASYM = ModelParams(1.0, 3.0, 1.0, -1.0, 1.0, 1.0)
+
+# each closed form as a function of its time argument alone
+TIME_DOMAIN = {
+    "mean_X": lambda t: mean_X(t, 0.3, Regime.R0, ASYM),
+    "mean_X_symmetric": lambda t: mean_X_symmetric(t, 0.3, Regime.R0, SYM),
+    "var_X_symmetric": lambda t: var_X_symmetric(t, SYM),
+    "occupation_probs": lambda s: occupation_probs(s, ASYM),
+    "mgf_gamma": lambda t: mgf_gamma(t, Regime.R0, MGF),
+    "joint_distribution": lambda t: joint_distribution(t, 1, 0.0, Regime.R0,
+                                                       SYM),
+    "telegraph_moment": lambda t: telegraph_moment(2, Regime.R0, Regime.R1,
+                                                   t, MIRROR_ASYM),
+    "telegraph_moment_symmetric": lambda t: telegraph_moment_symmetric(
+        1, Regime.R0, Regime.R0, t, SYM),
+    "mgf_restricted": lambda t: mgf_restricted(0.2, t, 1, Regime.R0,
+                                               MIRROR_ASYM),
+}
+
+
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", TIME_DOMAIN)
+def test_time_domain(name, value):
+    with pytest.raises(ValueError, match="must be nonnegative and finite"):
+        TIME_DOMAIN[name](value)
 
 
 def _generator(p):

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,6 +20,121 @@ MIRROR = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 MIRROR_ASYM = ModelParams(1.0, 3.0, 1.0, -1.0, 1.0, 1.0)
 GENERAL = ModelParams(1.0, 2.0, 1.0, -1.0, 1.0, 1.0)
 SKEWED = ModelParams(0.5, 1.7, 2.0, -0.3, 1.0, 1.0)
+
+REGIMES = (Regime.R0, Regime.R1)
+DPS = 40
+
+# grid A: unit rates and velocities; grid B: fast, unequal switching over
+# long horizons, where |M t| reaches 4e4
+GRID_A = {"MIRROR": MIRROR, "MIRROR_ASYM": MIRROR_ASYM, "GENERAL": GENERAL}
+GRID_A_TIMES = (1e-2, 0.3, 0.8, 2.0, 10.0, 30.0, 100.0)
+GRID_B = {"61-89": ModelParams(61.0, 89.0, 1.0, -1.0, 1.0, 1.0),
+          "3-50": ModelParams(3.0, 50.0, 1.0, -1.0, 1.0, 1.0),
+          "100-100": ModelParams(100.0, 100.0, 2.0, -2.0, 1.0, 1.0)}
+GRID_B_TIMES = (0.1, 1.0, 10.0, 74.0, 200.0)
+
+
+def mp_generator_moments(t, params):
+    """E[T(t)^k ; regime j | regime i] as ``moments[i][k][j]``, k <= 2.
+
+    Row i of expm(M t) at 40 digits for the row-vector generator
+    M = [[Q, A, 0], [0, Q, 2 A], [0, 0, Q]], A = diag(a0, a1), of the
+    regime law and the restricted first and second telegraph moments.
+    """
+    with mp.workdps(DPS):
+        l0, l1, a0, a1 = (mp.mpf(v) for v in (params.lambda0, params.lambda1,
+                                              params.a0, params.a1))
+        q = ((-l0, l0), (l1, -l1))
+        m = mp.zeros(6, 6)
+        for k in range(3):
+            for r in range(2):
+                for c in range(2):
+                    m[2 * k + r, 2 * k + c] = q[r][c]
+                if k:
+                    m[2 * k - 2 + r, 2 * k + r] = k * (a0, a1)[r]
+        e = mp.expm(m * mp.mpf(t))
+        return [[[e[i, 2 * k + j] for j in range(2)] for k in range(3)]
+                for i in range(2)]
+
+
+def mp_cov(i, t, s, params):
+    """E[T(t) T(s) | i] = E[T(s)^2 | i] + sum_j E[T(s); j | i] E[T(t-s) | j]."""
+    with mp.workdps(DPS):
+        at_s = mp_generator_moments(s, params)[i]
+        rest = mp_generator_moments(t - s, params)
+        return sum(at_s[2]) + sum(at_s[1][j] * sum(rest[j][1])
+                                  for j in range(2))
+
+
+def mp_paper_series(t, params):
+    """The paper's restricted moments ``moments[i][k][j]``, k = 1, 2.
+
+    Sums over the switch count with the Kummer-function combinations
+    G1, H1 (first moment) and G2, H2 (second moment) of argument
+    (lambda0 - lambda1) t from regime 0 and its negative from regime 1;
+    the diagonal terms carry (l0 l1)^n t^(2n + k) / (2n)!, the
+    off-diagonal ones l_i (l0 l1)^n t^(2n + k + 1) / (2n + 1)!.
+    """
+    moments = [[None, [0, 0], [0, 0]] for _ in range(2)]
+    with mp.workdps(DPS):
+        l0, l1, a, t = (mp.mpf(v) for v in (params.lambda0, params.lambda1,
+                                            params.a0, t))
+        tol = mp.mpf(10) ** -DPS
+        for i in range(2):
+            rate = (l0, l1)[i]
+            arg = (l0 - l1) * (t if i == 0 else -t)
+            phi = functools.lru_cache(None)(lambda p, b: mp.hyp1f1(p, b, arg))
+            for k in (1, 2):
+                for j in range(2):
+                    if i == j:
+                        lead, offset = t ** k, 1
+                    else:
+                        lead, offset = rate * t ** (k + 1), 2
+                    total, coeff, n = mp.mpf(0), lead, 0
+                    while n < 3 or coeff > tol * lead:
+                        f = mp.mpf(2 * n) / (2 * n + 1)
+                        if (k, i == j) == (1, True):
+                            g = phi(n, 2 * n + 1) - f * phi(n + 1, 2 * n + 2)
+                        elif k == 1:
+                            g = phi(n + 1, 2 * n + 2) - phi(n + 2, 2 * n + 3)
+                        elif i == j:
+                            g = (f * phi(n + 2, 2 * n + 3)
+                                 - 2 * f * phi(n + 1, 2 * n + 2)
+                                 + phi(n, 2 * n + 1))
+                        else:
+                            g = (mp.mpf(2 * n + 4) / (2 * n + 3)
+                                 * phi(n + 3, 2 * n + 4)
+                                 - 2 * phi(n + 2, 2 * n + 3)
+                                 + phi(n + 1, 2 * n + 2))
+                        total += coeff * g
+                        coeff *= (l0 * l1 * t * t
+                                  / ((2 * n + offset) * (2 * n + offset + 1)))
+                        n += 1
+                    sign = -1 if (k, i) == (1, 1) else 1
+                    moments[i][k][j] = sign * a ** k * mp.exp(-rate * t) * total
+    return moments
+
+
+def _exact_zero(order, i, j, params):
+    # equal rates: the off-diagonal first moment vanishes by symmetry
+    return order == 1 and i != j and params.lambda0 == params.lambda1
+
+
+def _check_moments(t, params, rel):
+    """Every restricted moment within ``rel`` of the 40-digit generator; an
+    exact zero within rel (|a| t)^order absolute."""
+    want = mp_generator_moments(t, params)
+    for order in (1, 2):
+        for i in REGIMES:
+            for j in REGIMES:
+                got = telegraph_moment(order, i, j, t, params)
+                exact = float(want[i][order][j])
+                if _exact_zero(order, i, j, params):
+                    bound = rel * (abs(params.a0) * t) ** order
+                    assert abs(got) <= bound, (order, i, j, got)
+                else:
+                    assert abs(got - exact) <= rel * abs(exact), \
+                        (order, i, j, got, exact)
 
 
 class TestTelegraphDensity:
@@ -137,12 +254,6 @@ class TestTelegraphCov:
         assert telegraph_cov(Regime.R0, t, s, MIRROR) == pytest.approx(
             expected, rel=1e-13)
 
-    def test_fast_path_matches_series_composition(self):
-        for (t, s) in ((1.0, 0.4), (2.0, 1.5), (0.6, 0.1)):
-            fast = telegraph_cov(Regime.R0, t, s, MIRROR)
-            slow = telegraph_cov(Regime.R0, t, s, MIRROR, allow_fast_path=False)
-            assert slow == pytest.approx(fast, rel=1e-9)
-
     def test_degenerates_to_second_moment(self):
         # s -> t: the product moment approaches E[T(t)^2]
         t = 1.0
@@ -154,6 +265,61 @@ class TestTelegraphCov:
     def test_ordering_required(self):
         with pytest.raises(ValueError):
             telegraph_cov(Regime.R0, 0.4, 1.0, MIRROR)
+
+    def test_time_domain(self):
+        with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+            telegraph_cov(Regime.R0, math.inf, 0.4, MIRROR)
+        with pytest.raises(ValueError, match="t > s > 0"):
+            telegraph_cov(Regime.R0, math.nan, 0.4, MIRROR)
+
+
+class TestGeneratorRoute:
+    """Moments and covariance against a 40-digit generator exponential."""
+
+    @pytest.mark.parametrize("t", GRID_A_TIMES)
+    @pytest.mark.parametrize("name", GRID_A)
+    def test_grid_a_moments(self, name, t):
+        _check_moments(t, GRID_A[name], 1e-12)
+
+    @pytest.mark.parametrize("t", GRID_A_TIMES)
+    @pytest.mark.parametrize("name", GRID_A)
+    def test_grid_a_cov(self, name, t):
+        params = GRID_A[name]
+        for i in REGIMES:
+            want = float(mp_cov(i, t, 0.4 * t, params))
+            got = telegraph_cov(i, t, 0.4 * t, params)
+            assert abs(got - want) <= 1e-12 * abs(want), (i, got, want)
+
+    @pytest.mark.parametrize("t", GRID_B_TIMES)
+    @pytest.mark.parametrize("name", GRID_B)
+    def test_grid_b_moments(self, name, t):
+        _check_moments(t, GRID_B[name], 2e-12)
+
+    @pytest.mark.parametrize("t", GRID_B_TIMES)
+    @pytest.mark.parametrize("name", GRID_B)
+    def test_grid_b_cov(self, name, t):
+        params = GRID_B[name]
+        for i in REGIMES:
+            want = float(mp_cov(i, t, 0.4 * t, params))
+            got = telegraph_cov(i, t, 0.4 * t, params)
+            assert abs(got - want) <= 2e-12 * abs(want), (i, got, want)
+
+    @pytest.mark.parametrize("t", GRID_A_TIMES)
+    @pytest.mark.parametrize("name", GRID_A)
+    def test_paper_series_matches_generator(self, name, t):
+        # the paper's G/H Kummer-combination series, both at 40 digits
+        params = GRID_A[name]
+        series = mp_paper_series(t, params)
+        exact = mp_generator_moments(t, params)
+        for order in (1, 2):
+            for i in range(2):
+                for j in range(2):
+                    got, want = series[i][order][j], exact[i][order][j]
+                    if _exact_zero(order, i, j, params):
+                        assert abs(got) <= 1e-30 * (params.a0 * t) ** order
+                    else:
+                        assert abs(got - want) <= 1e-30 * abs(want), \
+                            (order, i, j)
 
 
 class TestMgfRestricted:

@@ -10,7 +10,6 @@ from oubv.specfun import (
     SeriesConvergenceError,
     bessel_i,
     gauss_2f1,
-    gh_coefficient,
     kummer_phi,
     psi_pair,
 )
@@ -166,33 +165,3 @@ class TestPsiPair:
         p = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         with pytest.raises(SeriesConvergenceError):
             psi_pair(10000.0, 0.0, p)
-
-
-class TestGHCoefficient:
-    def test_equal_rates_g1(self):
-        p = ModelParams(1.5, 1.5, 1.0, -1.0, 1.0, 1.0)
-        for n in (0, 1, 5):
-            assert gh_coefficient("G1", n, 0.8, p) == pytest.approx(
-                1.0 / (2 * n + 1), rel=1e-14)
-
-    def test_equal_rates_h1(self):
-        p = ModelParams(1.5, 1.5, 1.0, -1.0, 1.0, 1.0)
-        for n in (0, 1, 5):
-            assert gh_coefficient("H1", n, 0.8, p) == 0.0
-
-    def test_equal_rates_g2(self):
-        p = ModelParams(1.5, 1.5, 1.0, -1.0, 1.0, 1.0)
-        for n in (0, 1, 5):
-            assert gh_coefficient("G2", n, 0.8, p) == pytest.approx(
-                1.0 / (2 * n + 1), rel=1e-14)
-
-    def test_equal_rates_h2(self):
-        p = ModelParams(1.5, 1.5, 1.0, -1.0, 1.0, 1.0)
-        for n in (0, 1, 5):
-            assert gh_coefficient("H2", n, 0.8, p) == pytest.approx(
-                1.0 / (2 * n + 3), rel=1e-14)
-
-    def test_unknown_kind(self):
-        p = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            gh_coefficient("G3", 0, 1.0, p)
