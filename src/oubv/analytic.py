@@ -13,7 +13,7 @@ Every function here is validated against the exact Monte Carlo sampler in
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterator
 
@@ -301,7 +301,7 @@ def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
 def _moment_exponential(order: int, t: float, params: ModelParams,
                         gamma: tuple[float, float]
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Van Loan exponential of the regime-restricted moments of Y' = a_e - g_e Y.
+    """Van Loan exponential of the restricted moments of Y' = a_e - g_e Y.
 
     e = expm(M t) for M = [[Q, A, 0], [0, Q - G, 2 A], [0, 0, Q - 2 G]] cut
     after block ``order`` (1: 4x4, 2: 6x6), Q the switching generator,

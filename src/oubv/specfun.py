@@ -177,4 +177,3 @@ def psi_pair(t: float, z: float, params: ModelParams) -> tuple[float, float]:
         c1 *= ll * t * t / ((2 * n) * (2 * n + 1.0))
     raise SeriesConvergenceError(
         f"switching-count series did not converge in {MAX_TERMS} terms")
-
