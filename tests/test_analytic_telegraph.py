@@ -58,7 +58,7 @@ def mp_generator_moments(t, params):
 
 
 def mp_cov(i, t, s, params):
-    """E[T(t) T(s) | i] = E[T(s)^2 | i] + sum_j E[T(s); j | i] E[T(t-s) | j]."""
+    """E[T(t) T(s) | i] = E[T(s)^2 | i] + sum_j E[T(s); j | i] E_j[T(t-s)]."""
     with mp.workdps(DPS):
         at_s = mp_generator_moments(s, params)[i]
         rest = mp_generator_moments(t - s, params)
@@ -111,7 +111,8 @@ def mp_paper_series(t, params):
                                   / ((2 * n + offset) * (2 * n + offset + 1)))
                         n += 1
                     sign = -1 if (k, i) == (1, 1) else 1
-                    moments[i][k][j] = sign * a ** k * mp.exp(-rate * t) * total
+                    front = sign * a ** k * mp.exp(-rate * t)
+                    moments[i][k][j] = front * total
     return moments
 
 
@@ -267,7 +268,7 @@ class TestTelegraphCov:
             telegraph_cov(Regime.R0, 0.4, 1.0, MIRROR)
 
     def test_time_domain(self):
-        with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             telegraph_cov(Regime.R0, math.inf, 0.4, MIRROR)
         with pytest.raises(ValueError, match="t > s > 0"):
             telegraph_cov(Regime.R0, math.nan, 0.4, MIRROR)
