@@ -20,7 +20,8 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import integrate, linalg
 
-from .model import ModelParams, Regime, band_coordinate, pattern, t_star
+from .model import (ModelParams, Regime, band_coordinate, pattern,
+                    require_above_band, t_star)
 from .specfun import (
     SeriesConvergenceError,
     _sum_series,
@@ -136,11 +137,6 @@ def hyper_quad(q: float, params: ModelParams) -> HyperQuad:
     return _hyper_quad_any_q(q, params)
 
 
-def _require_above_band(x: float, params: ModelParams) -> None:
-    if x < params.a0 / params.gamma0:
-        raise ValueError("x must exceed a0/gamma0")
-
-
 def _laplace_falling_any_q(q: float, x: float, start: Regime,
                            params: ModelParams) -> float:
     z = band_coordinate(x, params)
@@ -162,7 +158,7 @@ def laplace_falling(q: float, x: float, start: Regime,
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    _require_above_band(x, params)
+    require_above_band(x, params)
     return _laplace_falling_any_q(q, x, start, params)
 
 
@@ -178,7 +174,7 @@ def laplace_falling_special(case: str, q: float, x: float, start: Regime,
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    _require_above_band(x, params)
+    require_above_band(x, params)
     if case == "lambda0_zero":
         if params.lambda0 != 0.0:
             raise ValueError("case lambda0_zero requires lambda0 == 0")
@@ -215,7 +211,7 @@ def _mean_falling_series(x: float, start: Regime,
 
     running, n = _sum_series(terms(), "mean falling-time", z=z,
                              detail=" (z={z})")
-    value = -slope0 * running
+    value = 0.0 - slope0 * running  # +0.0, not -0.0, at the band edge
     if start == Regime.R0:
         value += 1.0 / params.lambda0
     return value, n
@@ -244,7 +240,7 @@ def mean_falling_info(x: float, start: Regime,
     Uses the explicit series where it converges; otherwise differentiates
     the (transform-domain) closed form at q = 0.
     """
-    _require_above_band(x, params)
+    require_above_band(x, params)
     if params.lambda0 <= 0:
         raise ValueError("mean falling time is infinite when lambda0 == 0")
     z = band_coordinate(x, params)
@@ -287,15 +283,10 @@ def occupation_probs(s: float,
 def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
     """E[exp(-integral of the active relaxation rate up to t) | start]."""
     _require_time(t)
-    l0, l1 = params.lambda0, params.lambda1
-    g0, g1 = params.gamma0, params.gamma1
-    if start == Regime.R0:
-        w = (l0 - l1 + g0 - g1) * t
-        psi0, psi1 = psi_pair(t, w, params)
-        return math.exp(-(l0 + g0) * t) * (1.0 + psi0 + l0 * psi1)
-    w = (l1 - l0 + g1 - g0) * t
-    psi0, psi1 = psi_pair(t, w, params)
-    return math.exp(-(l1 + g1) * t) * (1.0 + psi0 + l1 * psi1)
+    li, lo = params.rate(start), params.rate(start.other)
+    gi, go = params.relaxation(start), params.relaxation(start.other)
+    psi0, psi1 = psi_pair(t, (li - lo + gi - go) * t, params)
+    return math.exp(-(li + gi) * t) * (1.0 + psi0 + li * psi1)
 
 
 def _moment_exponential(order: int, t: float, params: ModelParams,
@@ -425,27 +416,25 @@ def reachable_interval(t: float, x: float,
     return (pattern(Regime.R1, x, t, params), pattern(Regime.R0, x, t, params))
 
 
-def tau_cross(branch: str, y: float, t: float, x: float,
-              params: ModelParams) -> float:
+def tau_cross(branch: str, y, t: float, x: float, params: ModelParams):
     """Switch time recovering position y at time t after one switch.
 
     ``tau0`` inverts the regime-0-then-regime-1 composition, ``tau1`` the
-    mirror one.  Requires symmetric parameters and y in the reachable
-    interval.
+    mirror one (gamma -> -gamma in the y and x terms).  Requires symmetric
+    parameters and every y in the reachable interval; an array y gives an
+    array of the same values the scalar calls give.
     """
     _require_symmetric(params)
     if branch not in ("tau0", "tau1"):
         raise ValueError("branch must be 'tau0' or 'tau1'")
     lo, hi = reachable_interval(t, x, params)
-    if not lo <= y <= hi:
+    if not np.all((lo <= y) & (y <= hi)):
         raise ValueError("y outside the reachable interval")
     a, gamma = params.a0, params.gamma0
-    emt = math.exp(-gamma * t)
-    if branch == "tau0":
-        arg = (a + gamma * y + (a - gamma * x) * emt) / (2.0 * a)
-    else:
-        arg = (a - gamma * y + (a + gamma * x) * emt) / (2.0 * a)
-    return t + math.log(arg) / gamma
+    sg = gamma if branch == "tau0" else -gamma
+    arg = (a + sg * y + (a - sg * x) * math.exp(-gamma * t)) / (2.0 * a)
+    tau = t + np.log(arg) / gamma
+    return tau if np.ndim(y) else float(tau)
 
 
 def joint_distribution(t: float, n: int, x: float, start: Regime,
@@ -470,35 +459,24 @@ def joint_distribution(t: float, n: int, x: float, start: Regime,
                                  support=support)
 
     emt = math.exp(-gamma * t)
+    sg = gamma if start == Regime.R0 else -gamma  # the mirror flips gamma
     if n == 1:
         front = lam * math.exp(-lam * t)
-        if start == Regime.R0:
-            def density(y: float) -> float:
-                if not lo < y < hi:
-                    return 0.0
-                return front / (a + gamma * y + (a - gamma * x) * emt)
-        else:
-            def density(y: float) -> float:
-                if not lo < y < hi:
-                    return 0.0
-                return front / (a - gamma * y + (a + gamma * x) * emt)
+
+        def density(y: float) -> float:
+            if not lo < y < hi:
+                return 0.0
+            return front / (a + sg * y + (a - sg * x) * emt)
         return MixedDistribution(atoms=(), density=density, support=support)
 
     front = lam * lam * math.exp(-lam * t)
-    if start == Regime.R0:
-        def density(y: float) -> float:
-            if not lo < y < hi:
-                return 0.0
-            extra = (tau_cross("tau0", y, t, x, params)
-                     + tau_cross("tau1", y, t, x, params) - t)
-            return front * extra / (a - gamma * y + (gamma * x - a) * emt)
-    else:
-        def density(y: float) -> float:
-            if not lo < y < hi:
-                return 0.0
-            extra = (tau_cross("tau0", y, t, x, params)
-                     + tau_cross("tau1", y, t, x, params) - t)
-            return front * extra / (a + gamma * y - (gamma * x + a) * emt)
+
+    def density(y: float) -> float:
+        if not lo < y < hi:
+            return 0.0
+        extra = (tau_cross("tau0", y, t, x, params)
+                 + tau_cross("tau1", y, t, x, params) - t)
+        return front * extra / (a - sg * y + (sg * x - a) * emt)
     return MixedDistribution(atoms=(), density=density, support=support)
 
 
@@ -550,14 +528,11 @@ def telegraph_density(i: Regime, j: Regime, t: float,
                 shape = math.sqrt((t - xi) / xi)
             return sqrt_ll / spread * shape * base(xi) * bessel_i(1, arg)
 
-        if i == Regime.R0:
-            atom = (a0 * t, math.exp(-l0 * t))
-        else:
-            atom = (a1 * t, math.exp(-l1 * t))
+        atom = (params.velocity(i) * t, math.exp(-params.rate(i) * t))
         return MixedDistribution(atoms=(atom,), density=density,
                                  support=(lo, hi))
 
-    rate = l0 if i == Regime.R0 else l1
+    rate = params.rate(i)
 
     def density(xv: float) -> float:
         xi = xi_of(xv)
@@ -637,30 +612,15 @@ def mgf_restricted(z: float, t: float, n: int, start: Regime,
     _require_time(t)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    l0, l1 = params.lambda0, params.lambda1
-    a = params.a0
-    two_beta = l0 - l1
-    if start == Regime.R0:
-        warg = (two_beta - 2.0 * a * z) * t
-        expo = math.exp(-(l0 - a * z) * t)
-    else:
-        warg = (2.0 * a * z - two_beta) * t
-        expo = math.exp(-(l1 + a * z) * t)
-    if n % 2 == 0:
-        m = n // 2
-        coeff = 1.0
-        for k in range(1, 2 * m + 1):
-            coeff *= t / k
-            if k <= m:
-                coeff *= l0 * l1
-        phi = kummer_phi(m, 2 * m + 1, warg)
-    else:
-        m = (n - 1) // 2
-        lead = l0 if start == Regime.R0 else l1
-        coeff = lead
-        for k in range(1, 2 * m + 2):
-            coeff *= t / k
-            if k <= m:
-                coeff *= l0 * l1
-        phi = kummer_phi(m + 1, 2 * m + 2, warg)
-    return coeff * phi * expo
+    lead = params.rate(start)
+    # from regime 1 the law is regime 0's with the rates swapped and T -> -T
+    az = params.a0 * z if start == Regime.R0 else -(params.a0 * z)
+    warg = (lead - params.rate(start.other) - 2.0 * az) * t
+    # t^n / n! (l0 l1)^(n//2), times the rate of the start for odd n
+    coeff = lead if n % 2 else 1.0
+    for k in range(1, n + 1):
+        coeff *= t / k
+        if k <= n // 2:
+            coeff *= params.lambda0 * params.lambda1
+    phi = kummer_phi((n + 1) // 2, n + 1, warg)
+    return coeff * phi * math.exp(-(lead - az) * t)

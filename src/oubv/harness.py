@@ -115,10 +115,7 @@ def _switch_recovered_before(c: float, t: float, x0: float, start: Regime,
         out = np.zeros(st.x.size)
         mask = st.nswitch == 1
         if mask.any():
-            taus = np.array([
-                analytic.tau_cross(branch, float(y), t, x0, params)
-                for y in st.x[mask]
-            ])
+            taus = analytic.tau_cross(branch, st.x[mask], t, x0, params)
             out[mask] = (taus <= c).astype(float)
         return out
 
@@ -302,11 +299,10 @@ def _kac_reports(tier: str, seed: int) -> list[CheckReport]:
     rate is asserted (the decrease needs full-size runs to be reliable).
     """
     t, x0, gamma, sigma = 1.0, 1.0, 1.0, 1.0
+    lam_lo, lam_hi = 1e2, 1e4
     if tier == "quick":
-        lam_lo, lam_hi = 1e2, 1e4
         n_lo, n_hi = 50_000, 10_000
     else:
-        lam_lo, lam_hi = 1e2, 1e4
         n_lo, n_hi = 1_000_000, 200_000
     mean_ref, var_ref = analytic.kac_limit_reference(t, x0, gamma, sigma)
 

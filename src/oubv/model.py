@@ -129,16 +129,24 @@ def pattern(regime: Regime, x: float, t: float, params: ModelParams) -> float:
     return fp + (x - fp) * math.exp(-params.relaxation(regime) * t)
 
 
+def require_above_band(x: float, params: ModelParams) -> None:
+    """Reject a start below the upper band edge a0/gamma0, or NaN.
+
+    The edge itself is accepted: from there regime 1 falls in at once.
+    """
+    if not x >= params.a0 / params.gamma0:
+        raise ValueError("x must exceed a0/gamma0")
+
+
 def t_star(x: float, params: ModelParams) -> float:
     """Shortest possible crossing time of the upper band edge from x.
 
     This is the time the regime-1 flow started at ``x >= a0/gamma0`` needs
     to reach ``a0/gamma0``; any switching can only delay the crossing.
     """
+    require_above_band(x, params)
     low = params.a1 / params.gamma1
     high = params.a0 / params.gamma0
-    if x < high:
-        raise ValueError("x must exceed a0/gamma0")
     # np.log, not math.log: the vectorized samplers evaluate this same
     # expression on arrays and the two libms differ in the last ulp.
     return float(np.log((x - low) / (high - low))) / params.gamma1

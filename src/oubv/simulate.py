@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelParams, Regime, pattern
+from .model import ModelParams, Regime, pattern, require_above_band
 
 DEFAULT_MAX_SWITCHES = 10_000_000
 
@@ -255,10 +255,9 @@ def falling_times(params: ModelParams, x: float, start: Regime,
     a zero rate records ``inf``.  Raises ``RuntimeError`` when some
     replicate has not fallen after ``DEFAULT_MAX_SWITCHES`` switches.
     """
+    require_above_band(x, params)
     high = params.a0 / params.gamma0
     low = params.a1 / params.gamma1
-    if not x > high:
-        raise ValueError("x must exceed a0/gamma0")
     if start == Regime.R0 and params.lambda0 == 0.0:
         raise ValueError("falling time is infinite from regime 0 with lambda0 == 0")
     out = np.empty(n)
@@ -303,9 +302,8 @@ def functional_of_state(t: float, x0: float, start: Regime,
     return sample
 
 
-def functional_x_at(t: float, x0: float, start: Regime, power: int = 1) -> Functional:
-    return functional_of_state(t, x0, start,
-                               lambda st: st.x if power == 1 else st.x ** power)
+def functional_x_at(t: float, x0: float, start: Regime) -> Functional:
+    return functional_of_state(t, x0, start, lambda st: st.x)
 
 
 def functional_exp_neg_gamma(t: float, start: Regime) -> Functional:
@@ -343,12 +341,9 @@ def functional_telegraph_product(t: float, s: float, start: Regime) -> Functiona
 
 
 def functional_exp_z_telegraph(z: float, t: float, start: Regime,
-                               n_switches: int | None = None) -> Functional:
+                               n_switches: int) -> Functional:
     def reduce(st: ChainState) -> np.ndarray:
-        vals = np.exp(z * st.tvalue)
-        if n_switches is not None:
-            vals = vals * (st.nswitch == n_switches)
-        return vals
+        return np.exp(z * st.tvalue) * (st.nswitch == n_switches)
 
     return functional_of_state(t, 0.0, start, reduce)
 
