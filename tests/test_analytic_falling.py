@@ -161,7 +161,8 @@ class TestMeanFalling:
             high = p.a0 / p.gamma0
             assert mean_falling(high, Regime.R0, p) == pytest.approx(
                 1.0 / p.lambda0, rel=1e-14)
-            assert mean_falling(high, Regime.R1, p) == 0.0
+            from_r1 = mean_falling(high, Regime.R1, p)
+            assert from_r1 == 0.0 and math.copysign(1.0, from_r1) == 1.0
 
     def test_lambda1_zero_is_t_star(self):
         for x in (1.3, 2.0, 2.9):
@@ -203,3 +204,20 @@ class TestMeanFalling:
     def test_lambda0_zero_rejected(self):
         with pytest.raises(ValueError, match="lambda0"):
             mean_falling(1.5, Regime.R0, L0_ZERO)
+
+
+def test_nan_start_rejected_everywhere():
+    # NaN fails the band-edge check, not a series later on
+    calls = [
+        lambda: mean_falling(math.nan, Regime.R1, SYM),
+        lambda: mean_falling_info(math.nan, Regime.R0, ASYM),
+        lambda: laplace_falling(1.0, math.nan, Regime.R0, SYM),
+        lambda: laplace_falling_special("lambda1_zero", 1.0, math.nan,
+                                        Regime.R1, L1_ZERO),
+        lambda: laplace_falling_special("lambda0_zero", 1.0, math.nan,
+                                        Regime.R1, L0_ZERO),
+        lambda: t_star(math.nan, SYM),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="x must exceed a0/gamma0"):
+            call()

@@ -51,9 +51,25 @@ class TestTauCross:
             lhs = math.exp(-(t - tau0)) + math.exp(-(t - tau1))
             assert lhs == pytest.approx(1.0 + math.exp(-t), rel=1e-12)
 
+    @pytest.mark.parametrize("branch", ["tau0", "tau1"])
+    def test_array_equals_scalar_calls(self, branch):
+        t, x = 1.3, -0.35
+        lo, hi = reachable_interval(t, x, SYM)
+        ys = np.concatenate([[lo, hi],
+                             np.random.default_rng(5).uniform(lo, hi, 2000)])
+        got = tau_cross(branch, ys, t, x, SYM)
+        want = [tau_cross(branch, float(y), t, x, SYM) for y in ys]
+        assert got.shape == ys.shape
+        assert np.array_equal(got, want)
+
     def test_outside_interval_rejected(self):
         with pytest.raises(ValueError, match="reachable"):
             tau_cross("tau0", 5.0, 1.0, 0.3, SYM)
+        lo, hi = reachable_interval(1.0, 0.3, SYM)
+        for bad in (hi + 1e-9, math.nan):
+            with pytest.raises(ValueError, match="reachable"):
+                tau_cross("tau1", np.array([lo, 0.5 * (lo + hi), bad]), 1.0,
+                          0.3, SYM)
 
     def test_nonsymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -20,6 +20,7 @@ MIRROR = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 MIRROR_ASYM = ModelParams(1.0, 3.0, 1.0, -1.0, 1.0, 1.0)
 GENERAL = ModelParams(1.0, 2.0, 1.0, -1.0, 1.0, 1.0)
 SKEWED = ModelParams(0.5, 1.7, 2.0, -0.3, 1.0, 1.0)
+SKEWED_RATES = ModelParams(2.5, 0.4, 1.5, -1.5, 1.0, 1.0)
 
 REGIMES = (Regime.R0, Regime.R1)
 DPS = 40
@@ -350,6 +351,28 @@ class TestMgfRestricted:
         total = sum(mgf_restricted(0.0, 1.0, n, Regime.R0, GENERAL)
                     for n in range(0, 41))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [MIRROR_ASYM, SKEWED_RATES])
+    @pytest.mark.parametrize("z", [-0.5, 0.3])
+    @pytest.mark.parametrize("n", range(6))
+    def test_against_kummer_form(self, n, z, params):
+        # Regime 1 is regime 0 of the mirrored process: rates swapped, T -> -T
+        def from_r0(z, lead, other, t):
+            with mp.workdps(DPS):
+                z, lead, other, t = (mp.mpf(v) for v in (z, lead, other, t))
+                a = mp.mpf(params.a0)
+                coeff = ((lead * other) ** (n // 2) * t ** n / mp.factorial(n)
+                         * (lead if n % 2 else 1))
+                return (coeff * mp.hyp1f1((n + 1) // 2, n + 1,
+                                          (lead - other - 2 * a * z) * t)
+                        * mp.exp(-(lead - a * z) * t))
+
+        l0, l1 = params.lambda0, params.lambda1
+        for t in (0.4, 1.7):
+            for start, want in ((Regime.R0, from_r0(z, l0, l1, t)),
+                                (Regime.R1, from_r0(-z, l1, l0, t))):
+                got = mgf_restricted(z, t, n, start, params)
+                assert abs(got - want) <= 1e-13 * abs(want), (start, t)
 
     def test_at_zero_time(self):
         assert mgf_restricted(0.3, 0.0, 0, Regime.R0, MIRROR) == 1.0

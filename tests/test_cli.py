@@ -323,6 +323,16 @@ class TestValidate:
         assert rows[0][5] == "true"
         assert "1/1 checks passed" in err
 
+    def test_bad_tier_from_config_file(self, tmp_path, capsys):
+        # argparse checks --tier; a config file's tier reaches the harness
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"validate": {"tier": "bogus"}}))
+        code, out, err = run_cli(["--config", str(cfg), "validate",
+                                  "--only", "hyper"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: tier must be 'quick' or 'full'" in err
+
     def test_only_kac_rows(self, capsys):
         code, out, _ = run_cli(["validate", "--tier", "quick",
                                 "--only", "kac_mean"], capsys)

@@ -184,6 +184,17 @@ class TestFallingTime:
         with pytest.raises(ValueError, match="x must exceed"):
             falling_times(SYM, 0.5, Regime.R0, chunk_rng(4, 5), 10)
 
+    def test_band_edge_start(self):
+        # from regime 1 the edge is crossed at once; from regime 0 at the
+        # first switch, whose time is the first holding time drawn
+        p = ModelParams(2.0, 1.0, 1.0, -1.0, 1.0, 1.0)
+        edge = p.a0 / p.gamma0
+        from_r1 = falling_times(p, edge, Regime.R1, chunk_rng(4, 7), 50)
+        assert np.all(from_r1 == 0.0)
+        from_r0 = falling_times(p, edge, Regime.R0, chunk_rng(4, 8), 50)
+        first = chunk_rng(4, 8).standard_exponential(50) / p.lambda0
+        assert np.array_equal(from_r0, first)
+
     def test_nan_start_rejected(self):
         # no replicate could ever cross: rejected before any draw
         with pytest.raises(ValueError, match="x must exceed"):
