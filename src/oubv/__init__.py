@@ -5,14 +5,13 @@ process moments, joint densities, the telegraph distribution toolkit, and
 a Monte Carlo cross-validation harness.
 """
 
-from .model import Band, ModelParams, Regime, band, band_coordinate, pattern, t_star
+from .model import ModelParams, Regime, band_coordinate, pattern, t_star
 from .specfun import SeriesConvergenceError
 from .analytic import HyperQuad, MixedDistribution
 from .simulate import EstimateWithCI, MCConfig, Path
 from .harness import CheckReport, CheckSpec, run_check, standard_suite
 
 __all__ = [
-    "Band",
     "CheckReport",
     "CheckSpec",
     "EstimateWithCI",
@@ -23,7 +22,6 @@ __all__ = [
     "Path",
     "Regime",
     "SeriesConvergenceError",
-    "band",
     "band_coordinate",
     "pattern",
     "run_check",

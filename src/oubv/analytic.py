@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .model import (ModelParams, Regime, band_coordinate, pattern,
-                    require_above_band, t_star)
+                    require_above_band, require_time, t_star)
 from .specfun import (
     SeriesConvergenceError,
     _sum_series,
@@ -73,16 +73,13 @@ class MixedDistribution:
         if not self.support[0] <= self.support[1]:
             raise ValueError("support must be an ordered interval")
 
-    @property
-    def atom_mass(self) -> float:
-        return sum(mass for _, mass in self.atoms)
-
-    def continuous_mass(self) -> float:
-        """Integral of the density over the support (adaptive quadrature)."""
-        return quad_interval(self.density, self.support[0], self.support[1])
-
-    def total_mass(self) -> float:
-        return self.atom_mass + self.continuous_mass()
+    def mass(self, lo: float, hi: float) -> float:
+        """Mass on [lo, hi]: the density's quadrature plus the atoms inside."""
+        total = quad_interval(self.density, lo, hi)
+        for loc, weight in self.atoms:
+            if lo <= loc <= hi:
+                total += weight
+        return total
 
 
 def quad_interval(f: Callable[[float], float], lo: float, hi: float,
@@ -110,9 +107,9 @@ def quad_interval(f: Callable[[float], float], lo: float, hi: float,
             + quad_interval(f, mid, hi, _depth + 1))
 
 
-def _require_time(t: float, name: str = "t") -> None:
-    if not 0 <= t < math.inf:
-        raise ValueError(f"{name} must be nonnegative and finite")
+def _require_finite(value: float, name: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +129,8 @@ def _hyper_quad_any_q(q: float, params: ModelParams) -> HyperQuad:
 
 def hyper_quad(q: float, params: ModelParams) -> HyperQuad:
     """Rate ratios and hypergeometric roots at transform variable q >= 0."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    if not 0 <= q < math.inf:
+        raise ValueError("q must be nonnegative and finite")
     return _hyper_quad_any_q(q, params)
 
 
@@ -156,8 +153,8 @@ def laplace_falling(q: float, x: float, start: Regime,
     Equivalently the probability that the running maximum over an
     independent Exp(q) horizon exceeds x.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
     require_above_band(x, params)
     return _laplace_falling_any_q(q, x, start, params)
 
@@ -172,8 +169,8 @@ def laplace_falling_special(case: str, q: float, x: float, start: Regime,
     ``lambda1_zero`` the regime-1 flow reaches the band edge at exactly
     t*(x), and from regime 0 a single switch decides the crossing.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
     require_above_band(x, params)
     if case == "lambda0_zero":
         if params.lambda0 != 0.0:
@@ -269,7 +266,7 @@ def occupation_probs(s: float,
     ``pi_ij`` is the probability that the chain started in regime i sits
     in regime j; rows sum to one.
     """
-    _require_time(s, "s")
+    require_time(s, "s")
     l0, l1 = params.lambda0, params.lambda1
     psi0_f, psi1_f = psi_pair(s, (l0 - l1) * s, params)
     psi0_b, psi1_b = psi_pair(s, (l1 - l0) * s, params)
@@ -282,7 +279,7 @@ def occupation_probs(s: float,
 
 def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
     """E[exp(-integral of the active relaxation rate up to t) | start]."""
-    _require_time(t)
+    require_time(t)
     li, lo = params.rate(start), params.rate(start.other)
     gi, go = params.relaxation(start), params.relaxation(start.other)
     psi0, psi1 = psi_pair(t, (li - lo + gi - go) * t, params)
@@ -326,9 +323,8 @@ def mean_X(t: float, x: float, start: Regime, params: ModelParams) -> float:
     ValueError where the mean is below 1e-3 of
     |x| + max|a_j| (1 - e^(-g t)) / g, g = min gamma_j.
     """
-    _require_time(t)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
+    require_time(t)
+    _require_finite(x, "x")
     g0, g1 = params.gamma0, params.gamma1
     e, moments = _moment_exponential(1, t, params, (g0, g1))
     mean = float(moments[start, 1, 2] + x * e[2 + start, 2:].sum())
@@ -363,7 +359,8 @@ def mean_X_symmetric(t: float, x: float, start: Regime,
                      params: ModelParams) -> float:
     """Closed-form mean of the process under fully symmetric parameters."""
     _require_symmetric(params)
-    _require_time(t)
+    require_time(t)
+    _require_finite(x, "x")
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
     swing = _exp_divided_difference(2.0 * lam, gamma, t)
     sign = 1.0 if start == Regime.R0 else -1.0
@@ -377,7 +374,7 @@ def var_X_symmetric(t: float, params: ModelParams) -> float:
     only in sign).  Tends to a^2 / (gamma (gamma + 2 lambda)).
     """
     _require_symmetric(params)
-    _require_time(t)
+    require_time(t)
     if t == 0:
         return 0.0
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
@@ -399,6 +396,8 @@ def var_X_symmetric(t: float, params: ModelParams) -> float:
 def kac_limit_reference(t: float, x: float, gamma: float,
                         sigma: float) -> tuple[float, float]:
     """Mean and variance of the classical OU diffusion limit."""
+    require_time(t)
+    _require_finite(x, "x")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     mean = x * math.exp(-gamma * t)
@@ -413,6 +412,7 @@ def kac_limit_reference(t: float, x: float, gamma: float,
 def reachable_interval(t: float, x: float,
                        params: ModelParams) -> tuple[float, float]:
     """Interval of positions reachable at time t from x (symmetric case)."""
+    require_time(t)
     return (pattern(Regime.R1, x, t, params), pattern(Regime.R0, x, t, params))
 
 
@@ -448,7 +448,6 @@ def joint_distribution(t: float, n: int, x: float, start: Regime,
     _require_symmetric(params)
     if n not in (0, 1, 2):
         raise ValueError("closed forms available for n in {0, 1, 2} only")
-    _require_time(t)
     lam, gamma, a = params.lambda0, params.gamma0, params.a0
     lo, hi = reachable_interval(t, x, params)
     support = (lo, hi)
@@ -497,7 +496,8 @@ def telegraph_density(i: Regime, j: Regime, t: float,
     Diagonal entries carry the no-switch atom at a_i t; the continuous
     parts are Bessel-type densities on (a1 t, a0 t).
     """
-    if t <= 0:
+    require_time(t)
+    if t == 0:
         raise ValueError("t must be positive")
     if not params.a0 > params.a1:
         raise ValueError("telegraph density requires a0 > a1")
@@ -559,7 +559,7 @@ def telegraph_moment(order: int, i: Regime, j: Regime, t: float,
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     _require_mirrored_velocities(params)
-    _require_time(t)
+    require_time(t)
     moments = _moment_exponential(order, t, params, (0.0, 0.0))[1]
     return float(moments[i, order, j])
 
@@ -572,7 +572,7 @@ def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,
         raise ValueError("requires lambda0 == lambda1 > 0")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    _require_time(t)
+    require_time(t)
     lam, a = params.lambda0, params.a0
     decay = math.exp(-2.0 * lam * t)
     if order == 1:
@@ -596,7 +596,7 @@ def telegraph_cov(i: Regime, t: float, s: float, params: ModelParams) -> float:
     _require_mirrored_velocities(params)
     if not t > s > 0:
         raise ValueError("requires t > s > 0")
-    _require_time(t)
+    require_time(t)
     at_s = _moment_exponential(2, s, params, (0.0, 0.0))[1][i]
     rest = _moment_exponential(1, t - s, params, (0.0, 0.0))[1]
     return float(at_s[2, 2] + at_s[1, :2] @ rest[:, 1, 2])
@@ -609,7 +609,8 @@ def mgf_restricted(z: float, t: float, n: int, start: Regime,
     At z = 0 this is the probability of exactly n switches.
     """
     _require_mirrored_velocities(params)
-    _require_time(t)
+    require_time(t)
+    _require_finite(z, "z")
     if n < 0:
         raise ValueError("n must be nonnegative")
     lead = params.rate(start)

@@ -84,23 +84,6 @@ def run_check(spec: CheckSpec) -> CheckReport:
 
 # --- pieces shared by several checks -------------------------------------------
 
-def _interval_mass(dist: analytic.MixedDistribution, lo: float,
-                   hi: float) -> float:
-    """Mass a mixed law puts on [lo, hi]: continuous part plus atoms."""
-    mass = analytic.quad_interval(dist.density, lo, hi)
-    for loc, weight in dist.atoms:
-        if lo <= loc <= hi:
-            mass += weight
-    return mass
-
-
-def _indicator(t: float, x0: float, start: Regime,
-               event: Callable[[simulate.ChainState], np.ndarray]) -> Functional:
-    """Indicator of an event of the chain state at time t."""
-    return simulate.functional_of_state(t, x0, start,
-                                        lambda st: event(st).astype(float))
-
-
 def _switch_recovered_before(c: float, t: float, x0: float, start: Regime,
                              params: ModelParams) -> Functional:
     """Indicator that exactly one switch happened by t, and before c.
@@ -223,30 +206,31 @@ def suite_specs(tier: str, seed: int = DEFAULT_SEED) -> list[CheckSpec]:
          _SYM, n_small, "variance"),
         ("joint_atom_n0",
          lambda p: analytic.joint_distribution(1.0, 0, 0.0, R0, p).atoms[0][1],
-         lambda p: _indicator(1.0, 0.0, R0, lambda st: st.nswitch == 0),
+         lambda p: simulate.functional_of_state(
+             1.0, 0.0, R0, lambda st: st.nswitch == 0),
          _SYM, n_small, "mean"),
         ("joint_mass_n1",
-         lambda p: _interval_mass(analytic.joint_distribution(1.0, 1, 0.0, R0, p),
-                                  -0.3, 0.4),
-         lambda p: _indicator(1.0, 0.0, R0, lambda st: (
+         lambda p: (analytic.joint_distribution(1.0, 1, 0.0, R0, p)
+                    .mass(-0.3, 0.4)),
+         lambda p: simulate.functional_of_state(1.0, 0.0, R0, lambda st: (
              (st.nswitch == 1) & (st.x >= -0.3) & (st.x <= 0.4))),
          _SYM, n_small, "mean"),
         ("joint_mass_n2",
-         lambda p: _interval_mass(analytic.joint_distribution(1.0, 2, 0.0, R0, p),
-                                  -0.2, 0.5),
-         lambda p: _indicator(1.0, 0.0, R0, lambda st: (
+         lambda p: (analytic.joint_distribution(1.0, 2, 0.0, R0, p)
+                    .mass(-0.2, 0.5)),
+         lambda p: simulate.functional_of_state(1.0, 0.0, R0, lambda st: (
              (st.nswitch == 2) & (st.x >= -0.2) & (st.x <= 0.5))),
          _SYM, n_small, "mean"),
         ("telegraph_interval_offdiag",
-         lambda p: _interval_mass(analytic.telegraph_density(R0, R1, 1.3, p),
-                                  -0.6, 0.5),
-         lambda p: _indicator(1.3, 0.0, R0, lambda st: (
+         lambda p: (analytic.telegraph_density(R0, R1, 1.3, p)
+                    .mass(-0.6, 0.5)),
+         lambda p: simulate.functional_of_state(1.3, 0.0, R0, lambda st: (
              (st.regime == 1) & (st.tvalue >= -0.6) & (st.tvalue <= 0.5))),
          _TELEGRAPH, n_small, "mean"),
         ("telegraph_interval_diag",
-         lambda p: _interval_mass(analytic.telegraph_density(R0, R0, 1.3, p),
-                                  -0.6, 0.5),
-         lambda p: _indicator(1.3, 0.0, R0, lambda st: (
+         lambda p: (analytic.telegraph_density(R0, R0, 1.3, p)
+                    .mass(-0.6, 0.5)),
+         lambda p: simulate.functional_of_state(1.3, 0.0, R0, lambda st: (
              (st.regime == 0) & (st.tvalue >= -0.6) & (st.tvalue <= 0.5))),
          _TELEGRAPH, n_small, "mean"),
         ("telegraph_moment_first_00",

@@ -1,4 +1,4 @@
-"""Model parameters, deterministic flow patterns and band geometry.
+"""Model parameters, flow patterns, band geometry and the time-domain check.
 
 The process of interest alternates between two deterministic relaxation
 patterns.  In regime ``i`` the state decays exponentially toward the fixed
@@ -65,7 +65,7 @@ class ModelParams:
             raise ValueError("gamma0 > 0 and gamma1 > 0 violated")
         if self.lambda0 < 0 or self.lambda1 < 0:
             raise ValueError("lambda0 >= 0 and lambda1 >= 0 violated")
-        if not self.a1 / self.gamma1 < self.a0 / self.gamma0:
+        if not self.fixed_point(Regime.R1) < self.fixed_point(Regime.R0):
             raise ValueError("a1/gamma1 < a0/gamma0 violated (band empty)")
 
     def rate(self, regime: Regime) -> float:
@@ -91,28 +91,10 @@ class ModelParams:
                 and self.a0 == -self.a1)
 
 
-@dataclass(frozen=True)
-class Band:
-    """The absorbing interval (a1/gamma1, a0/gamma0)."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise ValueError("band requires low < high")
-
-    def contains(self, x: float) -> bool:
-        return self.low < x < self.high
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
-
-def band(params: ModelParams) -> Band:
-    """Absorbing band of the dynamics, derived from the fixed points."""
-    return Band(params.a1 / params.gamma1, params.a0 / params.gamma0)
+def require_time(t: float, name: str = "t") -> None:
+    """Reject a negative, NaN or infinite time."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def pattern(regime: Regime, x: float, t: float, params: ModelParams) -> float:
@@ -121,8 +103,7 @@ def pattern(regime: Regime, x: float, t: float, params: ModelParams) -> float:
     Returns ``a_i/gamma_i + (x - a_i/gamma_i) * exp(-gamma_i * t)`` for
     regime ``i``.  Satisfies the semigroup property in ``t``.
     """
-    if t < 0:
-        raise ValueError("flow duration must be nonnegative")
+    require_time(t, "flow duration")
     if t == 0:
         return x
     fp = params.fixed_point(regime)
@@ -134,8 +115,19 @@ def require_above_band(x: float, params: ModelParams) -> None:
 
     The edge itself is accepted: from there regime 1 falls in at once.
     """
-    if not x >= params.a0 / params.gamma0:
+    if not x >= params.fixed_point(Regime.R0):
         raise ValueError("x must exceed a0/gamma0")
+
+
+def crossing_time(x, params: ModelParams):
+    """Time the regime-1 flow from x takes to reach the upper band edge.
+
+    ``log((x - low) / (high - low)) / gamma1`` with the band edges low and
+    high, for a scalar or an array x; x is not checked.
+    """
+    low = params.fixed_point(Regime.R1)
+    high = params.fixed_point(Regime.R0)
+    return np.log((x - low) / (high - low)) / params.gamma1
 
 
 def t_star(x: float, params: ModelParams) -> float:
@@ -145,11 +137,7 @@ def t_star(x: float, params: ModelParams) -> float:
     to reach ``a0/gamma0``; any switching can only delay the crossing.
     """
     require_above_band(x, params)
-    low = params.a1 / params.gamma1
-    high = params.a0 / params.gamma0
-    # np.log, not math.log: the vectorized samplers evaluate this same
-    # expression on arrays and the two libms differ in the last ulp.
-    return float(np.log((x - low) / (high - low))) / params.gamma1
+    return float(crossing_time(x, params))
 
 
 def band_coordinate(x: float, params: ModelParams) -> float:
@@ -158,7 +146,6 @@ def band_coordinate(x: float, params: ModelParams) -> float:
     ``z(x) = (a0/gamma0 - x) / (a0/gamma0 - a1/gamma1)``; nonpositive for
     starting points at or above the upper edge.
     """
-    low = params.a1 / params.gamma1
-    high = params.a0 / params.gamma0
+    low = params.fixed_point(Regime.R1)
+    high = params.fixed_point(Regime.R0)
     return (high - x) / (high - low)
-

@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelParams, Regime, pattern, require_above_band
+from .model import (ModelParams, Regime, crossing_time, pattern,
+                    require_above_band, require_time)
 
 DEFAULT_MAX_SWITCHES = 10_000_000
 
@@ -103,8 +104,7 @@ def worker_count() -> int:
 def sample_path(params: ModelParams, x0: float, start: Regime,
                 horizon: float, rng: np.random.Generator) -> Path:
     """Draw one exact trajectory on [0, horizon]."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    require_time(horizon, "horizon")
     switches: list[tuple[float, Regime, float]] = []
     t, regime, x = 0.0, start, x0
     while True:
@@ -190,8 +190,8 @@ def _relax(x: np.ndarray, step, in_r1: np.ndarray, params: ModelParams):
     x <- fp + (x - fp) exp(-g step), with the same roundings as that form.
     Returns the rows' relaxation rates g.
     """
-    fp_r = _per_regime(params.a0 / params.gamma0, params.a1 / params.gamma1,
-                       in_r1)
+    fp_r = _per_regime(params.fixed_point(Regime.R0),
+                       params.fixed_point(Regime.R1), in_r1)
     g_r = _per_regime(params.gamma0, params.gamma1, in_r1)
     x -= fp_r
     x *= np.exp(-g_r * step)
@@ -210,10 +210,11 @@ def advance(state: ChainState, dt, params: ModelParams,
     some replicate finishes its window.  Raises ``RuntimeError`` when some
     replicate is still active after ``DEFAULT_MAX_SWITCHES`` passes.
     """
+    dt = np.asarray(dt, dtype=float)
+    if not np.all((dt >= 0) & (dt < np.inf)):
+        raise ValueError("advance duration must be nonnegative and finite")
     n = state.x.size
-    window = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
-    if not np.all(window >= 0):
-        raise ValueError("advance duration must be nonnegative")
+    window = np.broadcast_to(dt, (n,))
     idx = np.flatnonzero(window > 0.0)
     x, tv, gv = state.x[idx], state.tvalue[idx], state.gvalue[idx]
     in_r1, ns, rem = state.regime[idx] == 1, state.nswitch[idx], window[idx]
@@ -256,8 +257,6 @@ def falling_times(params: ModelParams, x: float, start: Regime,
     replicate has not fallen after ``DEFAULT_MAX_SWITCHES`` switches.
     """
     require_above_band(x, params)
-    high = params.a0 / params.gamma0
-    low = params.a1 / params.gamma1
     if start == Regime.R0 and params.lambda0 == 0.0:
         raise ValueError("falling time is infinite from regime 0 with lambda0 == 0")
     out = np.empty(n)
@@ -269,8 +268,7 @@ def falling_times(params: ModelParams, x: float, start: Regime,
         if not idx.size:
             return out
         tau = _holding_times(rng, in_r1, params)
-        cross = np.where(in_r1, np.log((v - low) / (high - low)) / params.gamma1,
-                         np.inf)
+        cross = np.where(in_r1, crossing_time(v, params), np.inf)
         fell = cross <= tau
         if fell.any():
             out[idx[fell]] = elapsed[fell] + cross[fell]
@@ -311,8 +309,7 @@ def functional_exp_neg_gamma(t: float, start: Regime) -> Functional:
 
 
 def functional_occupancy(t: float, start: Regime, j: Regime) -> Functional:
-    return functional_of_state(t, 0.0, start,
-                               lambda st: (st.regime == int(j)).astype(float))
+    return functional_of_state(t, 0.0, start, lambda st: st.regime == int(j))
 
 
 def functional_telegraph(t: float, start: Regime, j: Regime | None = None,
