@@ -24,7 +24,7 @@ from oubv.analytic import (
     telegraph_moment_symmetric,
     var_X_symmetric,
 )
-from oubv.model import ModelParams, Regime, band, t_star
+from oubv.model import ModelParams, Regime, t_star
 from oubv.simulate import MCConfig, chunk_rng
 
 SYM = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
@@ -110,19 +110,19 @@ def test_criterion_04_mean_falling_vs_monte_carlo():
 
 def test_criterion_05_band_confinement():
     p = PARAM_SETS[1]
-    b = band(p)
+    low, high = p.fixed_point(Regime.R1), p.fixed_point(Regime.R0)
     ok = True
     # inside: 1e4 exact paths never leave the band
     for k in range(10_000):
         path = simulate.sample_path(p, 0.1, Regime.R0 if k % 2 else Regime.R1,
                                     4.0, chunk_rng(505, k))
         for _, _, x in path.switches:
-            ok = ok and (b.low <= x <= b.high)
+            ok = ok and (low <= x <= high)
     for k in range(0, 10_000, 100):
         path = simulate.sample_path(p, 0.1, Regime.R0, 4.0, chunk_rng(505, k))
         for t in np.linspace(0.0, 4.0, 9):
             x, _, _ = simulate.eval_path(path, float(t))
-            ok = ok and (b.low <= x <= b.high)
+            ok = ok and (low <= x <= high)
     # outside: 1e4 falling times all finite and no smaller than t*(x)
     x0 = 2.0
     times = simulate.falling_times(p, x0, Regime.R0, chunk_rng(506, 0), 10_000)
@@ -174,7 +174,7 @@ def test_criterion_08_telegraph_distribution():
             total = 0.0
             for j in (Regime.R0, Regime.R1):
                 dist = telegraph_density(start, j, 1.3, params)
-                total += dist.atom_mass + dist.continuous_mass()
+                total += dist.mass(*dist.support)
             worst_mass = max(worst_mass, abs(total - 1.0))
 
     # histogram of 1e6 telegraph positions vs the Bessel-form density
@@ -248,7 +248,8 @@ def test_criterion_10_joint_densities():
     for n_sw in (0, 1, 2):
         target = math.exp(-lam * t) * (lam * t) ** n_sw / math.factorial(n_sw)
         dist = joint_distribution(t, n_sw, x, Regime.R0, SYM)
-        worst_mass = max(worst_mass, abs(dist.total_mass() - target))
+        worst_mass = max(worst_mass,
+                         abs(dist.mass(*dist.support) - target))
     # mirror symmetry pointwise
     worst_mirror = 0.0
     lo, hi = reachable_interval(t, 0.2, SYM)

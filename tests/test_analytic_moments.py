@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oubv.analytic import (
+    hyper_quad,
     joint_distribution,
     kac_limit_reference,
+    laplace_falling,
+    laplace_falling_special,
     mean_X,
     mean_X_symmetric,
     mgf_gamma,
     mgf_restricted,
     occupation_probs,
+    reachable_interval,
+    telegraph_density,
     telegraph_moment,
     telegraph_moment_symmetric,
     var_X_symmetric,
 )
-from oubv.model import ModelParams, Regime
+from oubv.model import ModelParams, Regime, pattern
+from oubv.simulate import chunk_rng, sample_path
 
 SYM = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 ASYM = ModelParams(1.0, 2.0, 1.0, -2.0, 1.0, 3.0)
@@ -28,7 +34,7 @@ L0Z = ModelParams(0.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 L1Z = ModelParams(1.0, 0.0, 1.0, -1.0, 1.0, 1.0)
 MIRROR_ASYM = ModelParams(1.0, 3.0, 1.0, -1.0, 1.0, 1.0)
 
-# each closed form as a function of its time argument alone
+# each function of a time, as a function of that time alone
 TIME_DOMAIN = {
     "mean_X": lambda t: mean_X(t, 0.3, Regime.R0, ASYM),
     "mean_X_symmetric": lambda t: mean_X_symmetric(t, 0.3, Regime.R0, SYM),
@@ -43,6 +49,25 @@ TIME_DOMAIN = {
         1, Regime.R0, Regime.R0, t, SYM),
     "mgf_restricted": lambda t: mgf_restricted(0.2, t, 1, Regime.R0,
                                                MIRROR_ASYM),
+    "kac_limit_reference": lambda t: kac_limit_reference(t, 1.0, 1.0, 1.0),
+    "reachable_interval": lambda t: reachable_interval(t, 0.2, SYM),
+    "telegraph_density": lambda t: telegraph_density(Regime.R0, Regime.R1, t,
+                                                     SYM),
+    "pattern": lambda t: pattern(Regime.R0, 0.3, t, SYM),
+    # a zero rate ends the switch loop at once, whatever the horizon
+    "sample_path": lambda t: sample_path(L0Z, 0.3, Regime.R0, t,
+                                         chunk_rng(1, 0)),
+}
+
+# each transform or closed form as a function of one other argument alone
+FINITE_DOMAIN = {
+    "hyper_quad": lambda q: hyper_quad(q, ASYM),
+    "laplace_falling": lambda q: laplace_falling(q, 1.6, Regime.R0, ASYM),
+    "laplace_falling_special": lambda q: laplace_falling_special(
+        "lambda1_zero", q, 1.8, Regime.R0, L1Z),
+    "mgf_restricted": lambda z: mgf_restricted(z, 1.0, 3, Regime.R0, SYM),
+    "mean_X_symmetric": lambda x: mean_X_symmetric(1.0, x, Regime.R0, SYM),
+    "kac_limit_reference": lambda x: kac_limit_reference(1.0, x, 1.0, 1.0),
 }
 
 
@@ -51,6 +76,13 @@ TIME_DOMAIN = {
 def test_time_domain(name, value):
     with pytest.raises(ValueError, match="must be nonnegative and finite"):
         TIME_DOMAIN[name](value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FINITE_DOMAIN)
+def test_non_finite_argument(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        FINITE_DOMAIN[name](value)
 
 
 def _generator(p):

@@ -158,7 +158,7 @@ class TestTelegraphDensity:
         total = 0.0
         for j in (Regime.R0, Regime.R1):
             dist = telegraph_density(start, j, t, params)
-            total += dist.atom_mass + dist.continuous_mass()
+            total += dist.mass(*dist.support)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_support(self):

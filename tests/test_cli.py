@@ -146,6 +146,13 @@ class TestAnalytic:
         _, rows = parse_csv(out)
         assert "overflow" in rows[0][11]
 
+    def test_negative_time_is_config_error(self, capsys):
+        code, out, _ = run_cli(["analytic", "--quantity", "kac-reference-var",
+                                "--t", "-1"], capsys)
+        _, rows = parse_csv(out)
+        assert code == 2
+        assert [row[-1] for row in rows] == ["t must be nonnegative and finite"]
+
     def test_numbers_round_trip(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "mgf-gamma",
                                 "--t", "1.0"], capsys)

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oubv.model import (
-    Band,
-    ModelParams,
-    Regime,
-    band,
-    band_coordinate,
-    pattern,
-    t_star,
-)
+import oubv
+from oubv.model import ModelParams, Regime, band_coordinate, pattern, t_star
 
 SYM = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
+
+
+def test_public_names_resolve():
+    for name in oubv.__all__:
+        assert hasattr(oubv, name), name
 
 
 class TestModelParams:
@@ -55,23 +53,6 @@ class TestModelParams:
         assert not ModelParams(1.0, 1.0, 2.0, -1.0, 1.0, 1.0).is_symmetric
 
 
-class TestBand:
-    def test_unit_band(self):
-        assert band(SYM) == Band(-1.0, 1.0)
-
-    def test_ratio_band(self):
-        p = ModelParams(1.0, 1.0, 2.0, -3.0, 4.0, 3.0)
-        b = band(p)
-        assert b.low == -1.0
-        assert b.high == 0.5
-
-    def test_contains(self):
-        b = band(SYM)
-        assert b.contains(0.0)
-        assert not b.contains(1.0)
-        assert not b.contains(-1.5)
-
-
 class TestPattern:
     def test_fixed_point(self):
         for t in (0.0, 0.3, 5.0):
@@ -107,12 +88,12 @@ class TestPattern:
         # saturates to the fixed point within one ulp, so only closed
         # containment can hold in floating point.
         p = ModelParams(1.0, 1.0, 2.0, -3.0, 4.0, 3.0)
-        b = band(p)
-        for x in np.linspace(b.low + 1e-9, b.high - 1e-9, 9):
+        low, high = p.fixed_point(Regime.R1), p.fixed_point(Regime.R0)
+        for x in np.linspace(low + 1e-9, high - 1e-9, 9):
             for regime in (Regime.R0, Regime.R1):
                 for t in (0.01, 0.5, 3.0):
-                    assert b.contains(pattern(regime, x, t, p))
-                assert b.low <= pattern(regime, x, 50.0, p) <= b.high
+                    assert low < pattern(regime, x, t, p) < high
+                assert low <= pattern(regime, x, 50.0, p) <= high
 
     def test_monotone_approach(self):
         p = ModelParams(1.0, 1.0, 2.0, -3.0, 4.0, 3.0)
@@ -145,7 +126,7 @@ class TestTStar:
     @settings(max_examples=200, deadline=None)
     def test_inverts_regime1_flow(self, x):
         p = ModelParams(1.0, 1.0, 2.0, -3.0, 4.0, 3.0)
-        high = p.a0 / p.gamma0
+        high = p.fixed_point(Regime.R0)
         x = high + (x - 1.0)  # shift into the valid domain of this model
         assert pattern(Regime.R1, x, t_star(x, p), p) == pytest.approx(
             high, rel=1e-12, abs=1e-12)

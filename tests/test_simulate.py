@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oubv import simulate
 from oubv.analytic import mean_X_symmetric
-from oubv.model import ModelParams, Regime, band, pattern, t_star
+from oubv.model import ModelParams, Regime, pattern, t_star
 from oubv.simulate import (
     ChainState,
     MCConfig,
@@ -66,14 +68,15 @@ class TestSamplePath:
 
     def test_band_absorption(self):
         # paths started inside the band never leave it
-        b = band(ASYM)
+        low = ASYM.fixed_point(Regime.R1)
+        high = ASYM.fixed_point(Regime.R0)
         for k in range(200):
             path = sample_path(ASYM, 0.2, Regime.R0, 6.0, chunk_rng(3, k))
             for _, _, x in path.switches:
-                assert b.low <= x <= b.high
+                assert low <= x <= high
             for t in np.linspace(0.0, 6.0, 25):
                 x, _, _ = eval_path(path, float(t))
-                assert b.low <= x <= b.high
+                assert low <= x <= high
 
 
 class TestEvalPath:
@@ -146,14 +149,21 @@ class TestTelegraphValues:
 
 
 class TestFallingTime:
-    def test_deterministic_crossing_when_no_switching(self):
-        p = ModelParams(1.0, 0.0, 1.0, -1.0, 1.0, 1.0)
-        expected = t_star(2.0, p)
-        for k in range(5):
-            (value,) = falling_times(p, 2.0, Regime.R1, chunk_rng(1, k), 1)
-            assert value == expected
-        vec = falling_times(p, 2.0, Regime.R1, chunk_rng(1, 9), 1000)
-        assert np.all(vec == expected)
+    @given(lambda0=st.floats(0.0, 10.0), gamma0=st.floats(0.1, 10.0),
+           gamma1=st.floats(0.1, 10.0), low=st.floats(-5.0, 5.0),
+           width=st.floats(1e-3, 5.0), above=st.floats(0.0, 50.0),
+           n=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    @example(lambda0=1.0, gamma0=1.0, gamma1=1.0, low=-1.0, width=2.0,
+             above=1.0, n=1000, seed=9)
+    @settings(max_examples=100, deadline=None)
+    def test_deterministic_crossing_when_no_switching(
+            self, lambda0, gamma0, gamma1, low, width, above, n, seed):
+        # lambda1 = 0: every replicate from regime 1 falls in at exactly t*(x)
+        p = ModelParams(lambda0, 0.0, (low + width) * gamma0, low * gamma1,
+                        gamma0, gamma1)
+        x = p.fixed_point(Regime.R0) + above
+        values = falling_times(p, x, Regime.R1, chunk_rng(seed, 0), n)
+        assert values.tobytes() == np.full(n, t_star(x, p)).tobytes()
 
     def test_lower_bound(self):
         values = falling_times(SYM, 2.0, Regime.R1, chunk_rng(4, 0), 100_000)
@@ -224,10 +234,11 @@ class TestAdvance:
         se = np.std(one.x) / math.sqrt(cfg_n) * math.sqrt(2.0)
         assert abs(one.x.mean() - two.x.mean()) < 4 * se
 
-    @pytest.mark.parametrize("dt", [math.nan, [0.5, math.nan, 1.0], -1.0])
+    @pytest.mark.parametrize("dt", [math.nan, [0.5, math.nan, 1.0], -1.0,
+                                    math.inf, [0.5, math.inf, 1.0]])
     def test_bad_duration_rejected(self, dt):
         state = init_state(3, 0.2, Regime.R0)
-        with pytest.raises(ValueError, match="must be nonnegative"):
+        with pytest.raises(ValueError, match="must be nonnegative and finite"):
             advance(state, np.asarray(dt), SYM, chunk_rng(8, 2))
         assert np.all(state.x == 0.2)
 
