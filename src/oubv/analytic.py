@@ -398,6 +398,8 @@ def kac_limit_reference(t: float, x: float, gamma: float,
     """Mean and variance of the classical OU diffusion limit."""
     require_time(t)
     _require_finite(x, "x")
+    _require_finite(gamma, "gamma")
+    _require_finite(sigma, "sigma")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     mean = x * math.exp(-gamma * t)
@@ -413,6 +415,7 @@ def reachable_interval(t: float, x: float,
                        params: ModelParams) -> tuple[float, float]:
     """Interval of positions reachable at time t from x (symmetric case)."""
     require_time(t)
+    _require_finite(x, "x")
     return (pattern(Regime.R1, x, t, params), pattern(Regime.R0, x, t, params))
 
 

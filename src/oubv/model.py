@@ -111,12 +111,15 @@ def pattern(regime: Regime, x: float, t: float, params: ModelParams) -> float:
 
 
 def require_above_band(x: float, params: ModelParams) -> None:
-    """Reject a start below the upper band edge a0/gamma0, or NaN.
+    """Reject a start below the upper band edge a0/gamma0, NaN or infinite.
 
     The edge itself is accepted: from there regime 1 falls in at once.
+    From x = +inf nothing ever falls in.
     """
     if not x >= params.fixed_point(Regime.R0):
         raise ValueError("x must exceed a0/gamma0")
+    if x == math.inf:
+        raise ValueError("x must be finite")
 
 
 def crossing_time(x, params: ModelParams):

@@ -161,21 +161,34 @@ def init_state(n: int, x0: float, start: Regime) -> ChainState:
     )
 
 
-def _per_regime(v0: float, v1: float, in_r1: np.ndarray):
-    """Each row's value for its regime; a scalar when both regimes share it.
+def _per_regime(v0: float, v1: float, regime):
+    """The rows' value for their regime: a scalar when both regimes share
+    the value or ``regime`` is one bool for every row (True for regime 1),
+    else one value per row of the bool mask ``regime``.
 
-    A shared value broadcasts to the same products as a gathered array, so
-    the scalar form changes no result, only the work per pass.
+    A scalar broadcasts to the same products as a gathered array, so the
+    scalar form changes no result, only the work per pass.
     """
-    return v0 if v0 == v1 else np.where(in_r1, v1, v0)
+    if v0 == v1:
+        return v0
+    if isinstance(regime, np.ndarray):
+        return np.where(regime, v1, v0)
+    return v1 if regime else v0
 
 
-def _holding_times(rng: np.random.Generator, in_r1: np.ndarray,
+def _shared_regime(in_r1: np.ndarray):
+    """``in_r1`` as one bool when every row is in the same regime."""
+    if not in_r1.any():
+        return False
+    return True if in_r1.all() else in_r1
+
+
+def _holding_times(rng: np.random.Generator, n: int, regime,
                    params: ModelParams) -> np.ndarray:
-    """One exponential holding time per row, drawn in row order; ``inf``
-    where the row's regime has a zero switching rate."""
-    lam_r = _per_regime(params.lambda0, params.lambda1, in_r1)
-    tau = rng.standard_exponential(in_r1.size)
+    """One exponential holding time for each of n rows, drawn in row order;
+    ``inf`` where the row's regime has a zero switching rate."""
+    lam_r = _per_regime(params.lambda0, params.lambda1, regime)
+    tau = rng.standard_exponential(n)
     if params.lambda0 > 0.0 and params.lambda1 > 0.0:
         tau /= lam_r
         return tau
@@ -184,19 +197,23 @@ def _holding_times(rng: np.random.Generator, in_r1: np.ndarray,
                         np.inf)
 
 
-def _relax(x: np.ndarray, step, in_r1: np.ndarray, params: ModelParams):
+def _relax(x: np.ndarray, step: np.ndarray, regime, params: ModelParams,
+           gvalue: np.ndarray | None = None) -> None:
     """Flow each row along its regime's relaxation for ``step``, in place.
 
-    x <- fp + (x - fp) exp(-g step), with the same roundings as that form.
-    Returns the rows' relaxation rates g.
+    x <- fp + (x - fp) exp(-g step), with the same roundings as that form;
+    ``gvalue``, when given, gains g step.
     """
     fp_r = _per_regime(params.fixed_point(Regime.R0),
-                       params.fixed_point(Regime.R1), in_r1)
-    g_r = _per_regime(params.gamma0, params.gamma1, in_r1)
+                       params.fixed_point(Regime.R1), regime)
+    arg = step * -_per_regime(params.gamma0, params.gamma1, regime)
+    if gvalue is not None:
+        # gvalue + g step, to the bit: rounding is symmetric in sign
+        gvalue -= arg
+    np.exp(arg, out=arg)
     x -= fp_r
-    x *= np.exp(-g_r * step)
+    x *= arg
     x += fp_r
-    return g_r
 
 
 def advance(state: ChainState, dt, params: ModelParams,
@@ -207,8 +224,13 @@ def advance(state: ChainState, dt, params: ModelParams,
     replicate order, and moves the replicate to the next switch or to the
     end of its window.  The active rows are worked on as compact copies;
     rows are written back to ``state`` and dropped only on a pass where
-    some replicate finishes its window.  Raises ``RuntimeError`` when some
-    replicate is still active after ``DEFAULT_MAX_SWITCHES`` passes.
+    some replicate finishes its window.  A row's regime on pass k is its
+    window-start regime flipped k times, and a row that finishes on pass
+    k has switched k times in the window, so both come from the pass
+    index.  When the active rows share their window-start regime, as they
+    do from ``init_state``, every pass works on one regime and takes its
+    constants as scalars.  Raises ``RuntimeError`` when some replicate is
+    still active after ``DEFAULT_MAX_SWITCHES`` passes.
     """
     dt = np.asarray(dt, dtype=float)
     if not np.all((dt >= 0) & (dt < np.inf)):
@@ -217,31 +239,34 @@ def advance(state: ChainState, dt, params: ModelParams,
     window = np.broadcast_to(dt, (n,))
     idx = np.flatnonzero(window > 0.0)
     x, tv, gv = state.x[idx], state.tvalue[idx], state.gvalue[idx]
-    in_r1, ns, rem = state.regime[idx] == 1, state.nswitch[idx], window[idx]
-    for _ in range(DEFAULT_MAX_SWITCHES + 1):
+    rem = window[idx]
+    # the window-start regime: one bool, or a per-row mask while mixed
+    start = _shared_regime(state.regime[idx] == 1)
+    for k in range(DEFAULT_MAX_SWITCHES + 1):
         if not idx.size:
             return
-        tau = _holding_times(rng, in_r1, params)
-        step = np.minimum(tau, rem)
-        gv += _relax(x, step, in_r1, params) * step
-        tv += _per_regime(params.a0, params.a1, in_r1) * step
+        odd = k % 2 == 1
+        regime = start ^ odd
+        tau = _holding_times(rng, idx.size, regime, params)
         switched = tau < rem
+        every = switched.all()
+        step = tau if every else np.minimum(tau, rem)
+        _relax(x, step, regime, params, gv)
+        tv += _per_regime(params.a0, params.a1, regime) * step
         rem -= step
-        if switched.all():
-            np.logical_not(in_r1, out=in_r1)
-            ns += 1
+        if every:
             continue
         done = np.flatnonzero(~switched)
         rows = idx[done]
         state.x[rows] = x[done]
         state.tvalue[rows] = tv[done]
         state.gvalue[rows] = gv[done]
-        state.regime[rows] = in_r1[done]
-        state.nswitch[rows] = ns[done]
+        state.regime[rows] ^= odd
+        state.nswitch[rows] += k
         keep = np.flatnonzero(switched)
         idx, x, tv, gv, rem = idx[keep], x[keep], tv[keep], gv[keep], rem[keep]
-        in_r1 = ~in_r1[keep]
-        ns = ns[keep] + 1
+        if isinstance(start, np.ndarray):
+            start = _shared_regime(start[keep])
     raise RuntimeError("max_switches exceeded while advancing the chain")
 
 
@@ -250,11 +275,14 @@ def falling_times(params: ModelParams, x: float, start: Regime,
     """Vectorized falling-time sampler; exact crossing detection.
 
     Works like ``advance`` on the compact set of replicates still above
-    the band: each pass draws their holding times, records a regime-1
-    replicate whose crossing of a0/gamma0 comes no later than its switch,
-    and flows the rest to their switch.  A replicate held in regime 0 by
-    a zero rate records ``inf``.  Raises ``RuntimeError`` when some
-    replicate has not fallen after ``DEFAULT_MAX_SWITCHES`` switches.
+    the band.  All of them start in ``start``, so every pass works on one
+    regime, flipped from pass to pass: it draws their holding times and,
+    on a regime-1 pass, records a replicate whose crossing of a0/gamma0
+    comes no later than its switch; then it flows the rest to their
+    switch.  Nothing crosses the upper edge in regime 0, and a zero
+    lambda0 holds the replicates there, so they record ``inf``.  Raises
+    ``RuntimeError`` when some replicate has not fallen after
+    ``DEFAULT_MAX_SWITCHES`` switches.
     """
     require_above_band(x, params)
     if start == Regime.R0 and params.lambda0 == 0.0:
@@ -262,22 +290,25 @@ def falling_times(params: ModelParams, x: float, start: Regime,
     out = np.empty(n)
     idx = np.arange(n)
     v = np.full(n, float(x))
-    in_r1 = np.full(n, start == Regime.R1)
+    in_r1 = start == Regime.R1
     elapsed = np.zeros(n)
     for _ in range(DEFAULT_MAX_SWITCHES + 1):
         if not idx.size:
             return out
-        tau = _holding_times(rng, in_r1, params)
-        cross = np.where(in_r1, crossing_time(v, params), np.inf)
-        fell = cross <= tau
-        if fell.any():
-            out[idx[fell]] = elapsed[fell] + cross[fell]
-            keep = np.flatnonzero(~fell)
-            idx, v, in_r1 = idx[keep], v[keep], in_r1[keep]
-            elapsed, tau = elapsed[keep], tau[keep]
+        tau = _holding_times(rng, idx.size, in_r1, params)
+        if in_r1:
+            cross = crossing_time(v, params)
+            fell = cross <= tau
+            if fell.any():
+                out[idx[fell]] = elapsed[fell] + cross[fell]
+                keep = np.flatnonzero(~fell)
+                idx, v, elapsed, tau = idx[keep], v[keep], elapsed[keep], tau[keep]
+        elif params.lambda0 == 0.0:
+            out[idx] = np.inf
+            return out
         _relax(v, tau, in_r1, params)
         elapsed += tau
-        np.logical_not(in_r1, out=in_r1)
+        in_r1 = not in_r1
     raise RuntimeError("max_switches exceeded while sampling falling times")
 
 
@@ -447,37 +478,67 @@ def histogram(functional: Functional, params: ModelParams, config: MCConfig,
     """Normalized counts with binomial errors; atoms split out before binning.
 
     Samples within ``ATOM_TOLERANCE`` of a predicted atom location are
-    counted as that atom so a point mass cannot corrupt one bin.
+    counted as that atom so a point mass cannot corrupt one bin.  Each
+    chunk is binned as it is drawn, so the sample is never held whole.
     """
+    edges, atom_locs = _histogram_grid(bins, range_, atoms)
+    parts = _map_chunks(config, lambda i, m: _bin(
+        np.asarray(functional(params, chunk_rng(config.seed, i), m),
+                   dtype=float), edges, atom_locs))
+    return _histogram_result(edges, atom_locs, parts, config.replicates,
+                             config.seed)
+
+
+def histogram_of(values: np.ndarray, seed: int, bins: int,
+                 range_: tuple[float, float],
+                 atoms: Sequence[float] = ()) -> HistogramResult:
+    """``histogram`` of a sample already drawn with ``seed``.
+
+    Equal to ``histogram(functional, params, config, ...)`` when values is
+    ``sample_functional(functional, params, config)``: a value's bin does
+    not depend on the chunk it was drawn in.
+    """
+    values = np.asarray(values, dtype=float)
+    edges, atom_locs = _histogram_grid(bins, range_, atoms)
+    return _histogram_result(edges, atom_locs, [_bin(values, edges, atom_locs)],
+                             values.size, seed)
+
+
+def _histogram_grid(bins: int, range_: tuple[float, float],
+                    atoms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges and atom locations of a histogram, checked."""
     if bins < 1:
         raise ValueError("bins must be at least 1")
     lo, hi = range_
     if not lo < hi:
         raise ValueError("empty histogram range")
-    edges = np.linspace(lo, hi, bins + 1)
-    atom_locs = np.asarray(list(atoms), dtype=float)
+    return np.linspace(lo, hi, bins + 1), np.asarray(list(atoms), dtype=float)
 
-    def job(i: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        values = np.asarray(functional(params, chunk_rng(config.seed, i), m),
-                            dtype=float)
-        atom_counts = np.zeros(atom_locs.size, dtype=np.int64)
-        keep = np.ones(values.size, dtype=bool)
-        for k, loc in enumerate(atom_locs):
-            hit = np.abs(values - loc) <= ATOM_TOLERANCE
-            atom_counts[k] = int(hit.sum())
-            keep &= ~hit
-        counts, _ = np.histogram(values[keep], bins=edges)
-        return counts, atom_counts
 
-    parts = _map_chunks(config, job)
+def _bin(values: np.ndarray, edges: np.ndarray,
+         atom_locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin counts of the values off the atoms, and the count at each atom."""
+    atom_counts = np.zeros(atom_locs.size, dtype=np.int64)
+    keep = np.ones(values.size, dtype=bool)
+    for k, loc in enumerate(atom_locs):
+        hit = np.abs(values - loc) <= ATOM_TOLERANCE
+        atom_counts[k] = int(hit.sum())
+        keep &= ~hit
+    counts, _ = np.histogram(values[keep], bins=edges)
+    return counts, atom_counts
+
+
+def _histogram_result(edges: np.ndarray, atom_locs: np.ndarray,
+                      parts: list, replicates: int,
+                      seed: int) -> HistogramResult:
+    """Masses and binomial errors from the ``_bin`` counts of each part."""
     counts = sum(p[0] for p in parts)
     atom_counts = sum(p[1] for p in parts)
-    n = float(config.replicates)
+    n = float(replicates)
     masses = counts / n
     errors = np.sqrt(masses * (1.0 - masses) / n)
     atom_entries = tuple(
         (float(loc), float(c / n), float(math.sqrt((c / n) * (1.0 - c / n) / n)))
         for loc, c in zip(atom_locs, atom_counts))
     return HistogramResult(edges=edges, masses=masses, std_errors=errors,
-                           atoms=atom_entries, replicates=int(n),
-                           seed=config.seed)
+                           atoms=atom_entries, replicates=int(n), seed=seed)

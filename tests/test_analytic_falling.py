@@ -221,3 +221,19 @@ def test_nan_start_rejected_everywhere():
     for call in calls:
         with pytest.raises(ValueError, match="x must exceed a0/gamma0"):
             call()
+
+
+def test_infinite_start_rejected_everywhere():
+    # nothing falls in from +inf: refused, not a series overflow
+    calls = [
+        lambda: mean_falling(math.inf, Regime.R1, SYM),
+        lambda: mean_falling_info(math.inf, Regime.R0, ASYM),
+        lambda: laplace_falling(1.0, math.inf, Regime.R0, SYM),
+        lambda: laplace_falling(1.0, math.inf, Regime.R1, ASYM),
+        lambda: laplace_falling_special("lambda1_zero", 1.0, math.inf,
+                                        Regime.R1, L1_ZERO),
+        lambda: t_star(math.inf, SYM),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="x must be finite"):
+            call()

@@ -19,6 +19,7 @@ from oubv.analytic import (
     mgf_restricted,
     occupation_probs,
     reachable_interval,
+    tau_cross,
     telegraph_density,
     telegraph_moment,
     telegraph_moment_symmetric,
@@ -68,6 +69,13 @@ FINITE_DOMAIN = {
     "mgf_restricted": lambda z: mgf_restricted(z, 1.0, 3, Regime.R0, SYM),
     "mean_X_symmetric": lambda x: mean_X_symmetric(1.0, x, Regime.R0, SYM),
     "kac_limit_reference": lambda x: kac_limit_reference(1.0, x, 1.0, 1.0),
+    "kac_limit_reference_gamma": lambda g: kac_limit_reference(1.0, 0.5, g,
+                                                               1.0),
+    "kac_limit_reference_sigma": lambda s: kac_limit_reference(1.0, 0.5, 1.0,
+                                                               s),
+    "joint_distribution": lambda x: joint_distribution(1.0, 1, x, Regime.R0,
+                                                       SYM),
+    "tau_cross": lambda x: tau_cross("tau0", 0.1, 1.0, x, SYM),
 }
 
 

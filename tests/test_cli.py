@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oubv import cli
+from oubv import cli, simulate
 from oubv.cli import main
 
 HELP_DIR = Path(__file__).resolve().parent / "data" / "help"
@@ -81,6 +81,23 @@ class TestSimulateHistogram:
         assert total == pytest.approx(1.0, abs=1e-9)
         kinds = {r[0] for r in rows}
         assert kinds == {"atom", "bin"}
+
+    def test_automatic_range_draws_the_sample_once(self, capsys,
+                                                   monkeypatch):
+        # the sample that sets the range is the one binned
+        calls = []
+        advance = simulate.advance
+
+        def counted(state, *args):
+            calls.append(state.x.size)
+            advance(state, *args)
+
+        monkeypatch.setattr(simulate, "advance", counted)
+        code, _, _ = run_cli(["simulate", "--target", "histogram",
+                              "--replicates", "2000", "--horizon", "1"],
+                             capsys)
+        assert code == 0
+        assert calls == [2000]
 
 
 class TestAnalytic:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oubv import simulate
+from oubv import cli, simulate
 from oubv.analytic import mean_X_symmetric
 from oubv.model import ModelParams, Regime, pattern, t_star
 from oubv.simulate import (
@@ -210,6 +210,13 @@ class TestFallingTime:
         with pytest.raises(ValueError, match="x must exceed"):
             falling_times(SYM, math.nan, Regime.R0, chunk_rng(4, 6), 5)
 
+    def test_infinite_start_rejected(self, monkeypatch):
+        # nothing falls in from +inf: rejected before any draw, not after
+        # the switch budget runs out
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_SWITCHES", 50)
+        with pytest.raises(ValueError, match="x must be finite"):
+            falling_times(SYM, math.inf, Regime.R1, chunk_rng(4, 6), 5)
+
 
 class TestAdvance:
     def test_zero_rate_pure_flow(self):
@@ -328,6 +335,13 @@ BIT_IDENTITY_CASES = {
     "per_replicate": (ASYM, 5_000, [np.linspace(0.0, 3.0, 5_000)]),
     "two_windows": (ASYM, 10_000, [0.37, np.linspace(0.1, 2.0, 10_000)]),
     "two_windows_dense": (_kac_params(1e2), 2_000, [0.3, 0.4]),
+    # the second window starts with mixed regimes and ~30 switches a row
+    "two_windows_dense_1e4": (_kac_params(1e4), 300, [0.003, 0.01]),
+    # from regime 0 the first window leaves rows in both regimes; regime 1
+    # is never left, so its rows finish on the first pass of the second
+    # window and the rest share regime 0 from there on
+    "mixed_then_shared": (ModelParams(2.0, 0.0, 1.0, -1.0, 1.0, 2.0), 5_000,
+                          [0.5, 1.0]),
 }
 
 
@@ -430,6 +444,31 @@ class TestFallingBitIdentity:
         assert np.array_equal(new, ref)
         # the same number of draws: both streams stand at the same point
         assert np.array_equal(rngs[0].random(4), rngs[1].random(4))
+
+
+class TestValidateBitIdentity:
+    def test_validate_equals_reference_loops(self, monkeypatch, capsys):
+        # the whole quick tier, Kac checks included, gives the same bytes
+        # when both samplers are the reference loops
+        monkeypatch.setenv("OUBV_THREADS", "1")
+        args = ["validate", "--tier", "quick", "--seed", "42"]
+        assert cli.main(args) == 0
+        expected = capsys.readouterr().out
+        calls = {"advance": 0, "falling_times": 0}
+
+        def counted(name, reference):
+            def call(*args):
+                calls[name] += 1
+                return reference(*args)
+            return call
+
+        monkeypatch.setattr(simulate, "advance",
+                            counted("advance", reference_advance))
+        monkeypatch.setattr(simulate, "falling_times",
+                            counted("falling_times", reference_falling_times))
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == expected
+        assert calls["advance"] > 0 and calls["falling_times"] > 0
 
 
 class TestEstimateMoments:
