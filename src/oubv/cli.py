@@ -226,10 +226,9 @@ def _cmd_simulate(config: dict, writer) -> int:
         x0 = float(ev["x0"])
         functional = simulate.functional_x_at(horizon, x0, start)
         lo, hi = config["sim"]["lo"], config["sim"]["hi"]
-        values = None
+        # the sample that gives the range is the one binned
+        values = simulate.sample_functional(functional, params, mc)
         if lo is None or hi is None:
-            # the sample that gives the range is the one binned
-            values = simulate.sample_functional(functional, params, mc)
             finite = values[np.isfinite(values)]
             lo = float(finite.min()) if lo is None else float(lo)
             hi = float(finite.max()) if hi is None else float(hi)
@@ -237,12 +236,7 @@ def _cmd_simulate(config: dict, writer) -> int:
                 hi = lo + 1.0
         bins, range_ = int(config["sim"]["bins"]), (float(lo), float(hi))
         atoms = (pattern(start, x0, horizon, params),)
-        if values is None:
-            result = simulate.histogram(functional, params, mc, bins, range_,
-                                        atoms)
-        else:
-            result = simulate.histogram_of(values, mc.seed, bins, range_,
-                                           atoms)
+        result = simulate.histogram_of(values, mc.seed, bins, range_, atoms)
         writer.writerow(["kind", "lo", "hi", "mass", "stderr"])
         for loc, mass, se in result.atoms:
             writer.writerow(["atom", _fmt(loc), _fmt(loc), _fmt(mass), _fmt(se)])

@@ -475,49 +475,28 @@ def estimate_moments(functional: Functional, params: ModelParams,
 def histogram(functional: Functional, params: ModelParams, config: MCConfig,
               bins: int, range_: tuple[float, float],
               atoms: Sequence[float] = ()) -> HistogramResult:
-    """Normalized counts with binomial errors; atoms split out before binning.
-
-    Samples within ``ATOM_TOLERANCE`` of a predicted atom location are
-    counted as that atom so a point mass cannot corrupt one bin.  Each
-    chunk is binned as it is drawn, so the sample is never held whole.
-    """
-    edges, atom_locs = _histogram_grid(bins, range_, atoms)
-    parts = _map_chunks(config, lambda i, m: _bin(
-        np.asarray(functional(params, chunk_rng(config.seed, i), m),
-                   dtype=float), edges, atom_locs))
-    return _histogram_result(edges, atom_locs, parts, config.replicates,
-                             config.seed)
+    """``histogram_of`` the functional's sample under ``config``."""
+    return histogram_of(sample_functional(functional, params, config),
+                        config.seed, bins, range_, atoms)
 
 
 def histogram_of(values: np.ndarray, seed: int, bins: int,
                  range_: tuple[float, float],
                  atoms: Sequence[float] = ()) -> HistogramResult:
-    """``histogram`` of a sample already drawn with ``seed``.
+    """Normalized counts with binomial errors; atoms split out before binning.
 
-    Equal to ``histogram(functional, params, config, ...)`` when values is
-    ``sample_functional(functional, params, config)``: a value's bin does
-    not depend on the chunk it was drawn in.
+    ``values`` is a sample already drawn with ``seed``.  Samples within
+    ``ATOM_TOLERANCE`` of a predicted atom location are counted as that
+    atom so a point mass cannot corrupt one bin.
     """
-    values = np.asarray(values, dtype=float)
-    edges, atom_locs = _histogram_grid(bins, range_, atoms)
-    return _histogram_result(edges, atom_locs, [_bin(values, edges, atom_locs)],
-                             values.size, seed)
-
-
-def _histogram_grid(bins: int, range_: tuple[float, float],
-                    atoms: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Bin edges and atom locations of a histogram, checked."""
     if bins < 1:
         raise ValueError("bins must be at least 1")
     lo, hi = range_
     if not lo < hi:
         raise ValueError("empty histogram range")
-    return np.linspace(lo, hi, bins + 1), np.asarray(list(atoms), dtype=float)
-
-
-def _bin(values: np.ndarray, edges: np.ndarray,
-         atom_locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin counts of the values off the atoms, and the count at each atom."""
+    values = np.asarray(values, dtype=float)
+    edges = np.linspace(lo, hi, bins + 1)
+    atom_locs = np.asarray(list(atoms), dtype=float)
     atom_counts = np.zeros(atom_locs.size, dtype=np.int64)
     keep = np.ones(values.size, dtype=bool)
     for k, loc in enumerate(atom_locs):
@@ -525,20 +504,11 @@ def _bin(values: np.ndarray, edges: np.ndarray,
         atom_counts[k] = int(hit.sum())
         keep &= ~hit
     counts, _ = np.histogram(values[keep], bins=edges)
-    return counts, atom_counts
-
-
-def _histogram_result(edges: np.ndarray, atom_locs: np.ndarray,
-                      parts: list, replicates: int,
-                      seed: int) -> HistogramResult:
-    """Masses and binomial errors from the ``_bin`` counts of each part."""
-    counts = sum(p[0] for p in parts)
-    atom_counts = sum(p[1] for p in parts)
-    n = float(replicates)
+    n = float(values.size)
     masses = counts / n
     errors = np.sqrt(masses * (1.0 - masses) / n)
     atom_entries = tuple(
         (float(loc), float(c / n), float(math.sqrt((c / n) * (1.0 - c / n) / n)))
         for loc, c in zip(atom_locs, atom_counts))
     return HistogramResult(edges=edges, masses=masses, std_errors=errors,
-                           atoms=atom_entries, replicates=int(n), seed=seed)
+                           atoms=atom_entries, replicates=values.size, seed=seed)
