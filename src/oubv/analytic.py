@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .model import (ModelParams, Regime, band_coordinate, pattern,
-                    require_above_band, require_time, t_star)
+                    require_above_band, require_time)
 from .specfun import (
     SeriesConvergenceError,
     _sum_series,
@@ -31,12 +31,11 @@ from .specfun import (
     psi_pair,
 )
 
-QUAD_ABS_TOL = 1e-10
-QUAD_FAIL_TOL = 1e-6
+QUAD_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature missed even the loose error ceiling."""
+    """Adaptive quadrature missed its error tolerance."""
 
 
 @dataclass(frozen=True)
@@ -82,29 +81,21 @@ class MixedDistribution:
         return total
 
 
-def quad_interval(f: Callable[[float], float], lo: float, hi: float,
-                  _depth: int = 0) -> float:
-    """Adaptive Gauss-Kronrod quadrature with interval-bisection fallback.
+def quad_interval(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Adaptive Gauss-Kronrod quadrature of a density over [lo, hi].
 
     Serves the densities only, with the integrable square-root endpoint
-    singularities of the telegraph densities; bisects when the error
-    estimate misses the absolute tolerance.
+    singularities of the telegraph densities.  Raises ``QuadratureError``
+    when the error estimate exceeds ``QUAD_TOL``, absolute or relative.
     """
     if hi <= lo:
         return 0.0
-    out = integrate.quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL,
-                         limit=200, full_output=1)
-    value, abserr = out[0], out[1]
-    if abserr <= max(QUAD_ABS_TOL, 1e-10 * abs(value)):
-        return value
-    if _depth >= 12:
-        if abserr > max(QUAD_FAIL_TOL, QUAD_FAIL_TOL * abs(value)):
-            raise QuadratureError(
-                f"quadrature error estimate {abserr:.2e} on [{lo}, {hi}]")
-        return value
-    mid = 0.5 * (lo + hi)
-    return (quad_interval(f, lo, mid, _depth + 1)
-            + quad_interval(f, mid, hi, _depth + 1))
+    value, abserr = integrate.quad(f, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                                   limit=200, full_output=1)[:2]
+    if abserr > max(QUAD_TOL, QUAD_TOL * abs(value)):
+        raise QuadratureError(
+            f"quadrature error estimate {abserr:.2e} on [{lo}, {hi}]")
+    return value
 
 
 def _require_finite(value: float, name: str) -> None:
@@ -121,6 +112,9 @@ def _hyper_quad_any_q(q: float, params: ModelParams) -> HyperQuad:
     beta1 = (params.lambda1 + q) / params.gamma1
     beta0_at0 = params.lambda0 / params.gamma0
     beta1_at0 = params.lambda1 / params.gamma1
+    if beta0_at0 * beta1_at0 == 0.0:  # a zero rate: the roots are exact
+        return HyperQuad(beta0=beta0, beta1=beta1, b0=min(beta0, beta1),
+                         b1=max(beta0, beta1))
     disc = math.sqrt((beta0 - beta1) ** 2 + 4.0 * beta0_at0 * beta1_at0)
     b0 = 0.5 * (beta0 + beta1 - disc)
     b1 = 0.5 * (beta0 + beta1 + disc)
@@ -138,56 +132,34 @@ def _laplace_falling_any_q(q: float, x: float, start: Regime,
                            params: ModelParams) -> float:
     z = band_coordinate(x, params)
     hq = _hyper_quad_any_q(q, params)
+    # gauss_2f1 Pfaff-transforms its first root: give it the root that is
+    # not beta0.  At a zero rate the other root is beta0, so from regime 1
+    # F(b, beta0; beta0; z) = (1 - z)^(-b) with no series left, and from
+    # regime 0 the series is the single-switch one.
+    pfaff, other = ((hq.b1, hq.b0) if hq.b0 == hq.beta0
+                    else (hq.b0, hq.b1))
     if start == Regime.R1:
-        return gauss_2f1(hq.b0, hq.b1, hq.beta0, z)
+        return gauss_2f1(pfaff, other, hq.beta0, z)
     if params.lambda0 == 0.0:
         return 0.0
     return (params.lambda0 / (params.lambda0 + q)
-            * gauss_2f1(hq.b0, hq.b1, hq.beta0 + 1.0, z))
+            * gauss_2f1(pfaff, other, hq.beta0 + 1.0, z))
 
 
 def laplace_falling(q: float, x: float, start: Regime,
                     params: ModelParams) -> float:
     """Laplace transform of the falling time, E[exp(-q T(x)) | start].
 
-    Equivalently the probability that the running maximum over an
-    independent Exp(q) horizon exceeds x.
+    Equivalently the probability of falling in before an independent
+    Exp(q) time.  One hypergeometric route serves every rate, a zero one
+    included: with lambda0 = 0 nothing falls in from regime 0 and regime 1
+    falls in at t*(x) unless it switches first; with lambda1 = 0 regime 1
+    falls in at exactly t*(x).
     """
     if not 0 < q < math.inf:
         raise ValueError("q must be positive and finite")
     require_above_band(x, params)
     return _laplace_falling_any_q(q, x, start, params)
-
-
-def laplace_falling_special(case: str, q: float, x: float, start: Regime,
-                            params: ModelParams) -> float:
-    """Degenerate-rate closed forms of the falling-time transform.
-
-    ``case`` names which rate is zero.  With ``lambda0_zero`` the process
-    never crosses from regime 0 (transform 0) and crosses from regime 1
-    only if no switch happens before the minimal crossing time.  With
-    ``lambda1_zero`` the regime-1 flow reaches the band edge at exactly
-    t*(x), and from regime 0 a single switch decides the crossing.
-    """
-    if not 0 < q < math.inf:
-        raise ValueError("q must be positive and finite")
-    require_above_band(x, params)
-    if case == "lambda0_zero":
-        if params.lambda0 != 0.0:
-            raise ValueError("case lambda0_zero requires lambda0 == 0")
-        if start == Regime.R0:
-            return 0.0
-        return math.exp(-(params.lambda1 + q) * t_star(x, params))
-    if case == "lambda1_zero":
-        if params.lambda1 != 0.0:
-            raise ValueError("case lambda1_zero requires lambda1 == 0")
-        if start == Regime.R1:
-            return math.exp(-q * t_star(x, params))
-        z = band_coordinate(x, params)
-        beta0 = (params.lambda0 + q) / params.gamma0
-        return (params.lambda0 / (params.lambda0 + q)
-                * gauss_2f1(q / params.gamma1, beta0, beta0 + 1.0, z))
-    raise ValueError(f"unknown case {case!r}")
 
 
 def _mean_falling_series(x: float, start: Regime,
@@ -234,8 +206,8 @@ def mean_falling_info(x: float, start: Regime,
                       params: ModelParams) -> tuple[float, str, int]:
     """Mean falling time with evaluation metadata (value, method, terms).
 
-    Uses the explicit series where it converges; otherwise differentiates
-    the (transform-domain) closed form at q = 0.
+    Uses the explicit series where it converges without cancelling;
+    otherwise differentiates the (transform-domain) closed form at q = 0.
     """
     require_above_band(x, params)
     if params.lambda0 <= 0:
@@ -565,28 +537,6 @@ def telegraph_moment(order: int, i: Regime, j: Regime, t: float,
     require_time(t)
     moments = _moment_exponential(order, t, params, (0.0, 0.0))[1]
     return float(moments[i, order, j])
-
-
-def telegraph_moment_symmetric(order: int, i: Regime, j: Regime, t: float,
-                               params: ModelParams) -> float:
-    """Closed-form restricted moments when the switching rates agree."""
-    _require_mirrored_velocities(params)
-    if params.lambda0 != params.lambda1 or params.lambda0 <= 0:
-        raise ValueError("requires lambda0 == lambda1 > 0")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    require_time(t)
-    lam, a = params.lambda0, params.a0
-    decay = math.exp(-2.0 * lam * t)
-    if order == 1:
-        if i != j:
-            return 0.0
-        value = a / (2.0 * lam) * (1.0 - decay)
-        return value if i == Regime.R0 else -value
-    if i == j:
-        return a * a * t / (2.0 * lam) * (1.0 - decay)
-    return (a * a * t / (2.0 * lam) * (1.0 + decay)
-            - a * a / (2.0 * lam * lam) * (1.0 - decay))
 
 
 def telegraph_cov(i: Regime, t: float, s: float, params: ModelParams) -> float:

@@ -282,16 +282,13 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
     of telegraph-density and the order of telegraph-moment.
     """
 
-    def laplace_special(params, q, x, start):
-        if params.lambda0 == 0.0:
-            case = "lambda0_zero"
-        elif params.lambda1 == 0.0:
-            case = "lambda1_zero"
-        else:
+    laplace = _analytic("laplace_falling", "hypergeometric")
+
+    def laplace_special(params, *args):
+        if params.lambda0 != 0.0 and params.lambda1 != 0.0:
             raise ConfigError(
                 "laplace-falling-special requires lambda0 == 0 or lambda1 == 0")
-        value = analytic.laplace_falling_special(case, q, x, start, params)
-        return value, case, None
+        return laplace(params, *args)
 
     def mean_falling(params, x, start):
         return analytic.mean_falling_info(x, start, params)
@@ -327,8 +324,7 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
         return evaluate
 
     return {
-        "laplace-falling": ("x", "q x start",
-                            _analytic("laplace_falling", "hypergeometric")),
+        "laplace-falling": ("x", "q x start", laplace),
         "laplace-falling-special": ("x", "q x start", laplace_special),
         "mean-falling": ("x", "x start", mean_falling),
         "occupation-pi00": ("s", "s", occupation(0)),

@@ -159,13 +159,11 @@ def suite_specs(tier: str, seed: int = DEFAULT_SEED) -> list[CheckSpec]:
          lambda p: simulate.functional_exp_q_falling(1.0, 1.6, R1),
          _ASYM, n_small, "mean"),
         ("laplace_special_lambda0_zero",
-         lambda p: analytic.laplace_falling_special("lambda0_zero", 0.7, 1.8,
-                                                    R1, p),
+         lambda p: analytic.laplace_falling(0.7, 1.8, R1, p),
          lambda p: simulate.functional_exp_q_falling(0.7, 1.8, R1),
          _LAMBDA0_ZERO, n_small, "mean"),
         ("laplace_special_lambda1_zero",
-         lambda p: analytic.laplace_falling_special("lambda1_zero", 0.7, 1.8,
-                                                    R0, p),
+         lambda p: analytic.laplace_falling(0.7, 1.8, R0, p),
          lambda p: simulate.functional_exp_q_falling(0.7, 1.8, R0),
          _LAMBDA1_ZERO, n_small, "mean"),
         ("falling_time_degenerate_exact",

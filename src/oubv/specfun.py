@@ -4,7 +4,11 @@ All series use compensated (Neumaier) accumulation and a shared truncation
 policy: summation stops once two consecutive terms fall below ``REL_TOL``
 times the running sum, and fails after ``MAX_TERMS`` terms.  The two-term
 rule guards against false convergence of alternating series, which occur
-here whenever the band coordinate is negative.
+here whenever the band coordinate is negative.  A sum that stops is still
+refused when its terms cancel: each term carries a rounding error of about
+one ulp, so once the machine epsilon times the sum of the term sizes
+exceeds ``REL_TOL`` times the value, the value cannot hold ``REL_TOL`` and
+the series raises ``SeriesConvergenceError`` ("series cancelled").
 
 Arguments below the series' natural domain are reached by transformation
 rather than analytic continuation machinery: the Gauss series for negative
@@ -17,6 +21,7 @@ every summand nonnegative for the parameter patterns used in this package.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import count
 from typing import Iterator
 
@@ -54,18 +59,25 @@ def _sum_series(terms: Iterator[float], label: str, first: float = 0.0,
     """Sum ``first`` and the terms of a series; returns (value, terms used).
 
     Stops after two consecutive small terms (see ``_neumaier_step``) and
-    raises ``SeriesConvergenceError`` on a non-finite term or when
-    ``MAX_TERMS`` terms do not suffice; ``detail`` completes the
-    second message and is filled with ``max_terms`` and ``z``.
+    raises ``SeriesConvergenceError`` on a non-finite term, when the terms
+    cancel below ``REL_TOL`` of the value (see the module docstring) or
+    when ``MAX_TERMS`` terms do not suffice; ``detail`` completes the
+    last message and is filled with ``max_terms`` and ``z``.
     """
-    total, comp, small = first, 0.0, 0
+    total, comp, small, size = first, 0.0, 0, abs(first)
     for n, term in zip(range(1, MAX_TERMS + 1), terms):
         if not math.isfinite(term):
             raise SeriesConvergenceError(f"{label} series overflowed")
         total, comp, is_small = _neumaier_step(total, comp, term)
+        size += abs(term)
         small = small + 1 if is_small else 0
         if small >= 2:
-            return total + comp, n
+            value = total + comp
+            if size * sys.float_info.epsilon > REL_TOL * abs(value):
+                raise SeriesConvergenceError(
+                    f"{label} series cancelled: terms of total size "
+                    f"{size:.3g} sum to {value:.3g} (z={z})")
+            return value, n
     raise SeriesConvergenceError(f"{label} series did not converge"
                                  + detail.format(max_terms=MAX_TERMS, z=z))
 

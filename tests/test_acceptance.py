@@ -14,18 +14,18 @@ from oubv.analytic import (
     joint_density,
     joint_distribution,
     laplace_falling,
-    laplace_falling_special,
     mean_falling_info,
     quad_interval,
     reachable_interval,
     telegraph_cov,
     telegraph_density,
     telegraph_moment,
-    telegraph_moment_symmetric,
     var_X_symmetric,
 )
 from oubv.model import ModelParams, Regime, t_star
 from oubv.simulate import MCConfig, chunk_rng
+from test_analytic_falling import single_switch_transform
+from test_analytic_telegraph import telegraph_moment_symmetric
 
 SYM = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 
@@ -78,8 +78,7 @@ def test_criterion_03_special_case_equivalence():
     for q in np.linspace(0.1, 5.0, 10):
         for x in np.linspace(1.05, 2.8, 10):
             general = laplace_falling(float(q), float(x), Regime.R0, params)
-            closed = laplace_falling_special("lambda1_zero", float(q),
-                                             float(x), Regime.R0, params)
+            closed = single_switch_transform(float(q), float(x), params)
             worst = max(worst, abs(general - closed) / abs(closed))
     _report(3, "single-switch closed form equals hypergeometric route",
             worst < 1e-10, f"worst relative gap = {worst:.2e}")

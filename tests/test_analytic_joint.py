@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oubv.analytic import (
+    QuadratureError,
     joint_density,
     joint_distribution,
     quad_interval,
@@ -162,3 +163,8 @@ class TestQuadInterval:
         # integrable inverse square root at the right endpoint
         value = quad_interval(lambda y: 1.0 / math.sqrt(1.0 - y), 0.0, 1.0)
         assert value == pytest.approx(2.0, abs=1e-9)
+
+    def test_missed_tolerance_raises(self):
+        # 1e5 / (2 pi) periods are too many for 200 Gauss-Kronrod intervals
+        with pytest.raises(QuadratureError, match="error estimate"):
+            quad_interval(lambda y: math.cos(1e5 * y), 0.0, 1.0)

@@ -12,7 +12,6 @@ from oubv.analytic import (
     joint_distribution,
     kac_limit_reference,
     laplace_falling,
-    laplace_falling_special,
     mean_X,
     mean_X_symmetric,
     mgf_gamma,
@@ -22,7 +21,6 @@ from oubv.analytic import (
     tau_cross,
     telegraph_density,
     telegraph_moment,
-    telegraph_moment_symmetric,
     var_X_symmetric,
 )
 from oubv.model import ModelParams, Regime, pattern
@@ -46,8 +44,7 @@ TIME_DOMAIN = {
                                                        SYM),
     "telegraph_moment": lambda t: telegraph_moment(2, Regime.R0, Regime.R1,
                                                    t, MIRROR_ASYM),
-    "telegraph_moment_symmetric": lambda t: telegraph_moment_symmetric(
-        1, Regime.R0, Regime.R0, t, SYM),
+    "tau_cross": lambda t: tau_cross("tau0", 0.1, t, 0.2, SYM),
     "mgf_restricted": lambda t: mgf_restricted(0.2, t, 1, Regime.R0,
                                                MIRROR_ASYM),
     "kac_limit_reference": lambda t: kac_limit_reference(t, 1.0, 1.0, 1.0),
@@ -64,8 +61,8 @@ TIME_DOMAIN = {
 FINITE_DOMAIN = {
     "hyper_quad": lambda q: hyper_quad(q, ASYM),
     "laplace_falling": lambda q: laplace_falling(q, 1.6, Regime.R0, ASYM),
-    "laplace_falling_special": lambda q: laplace_falling_special(
-        "lambda1_zero", q, 1.8, Regime.R0, L1Z),
+    "laplace_falling_zero_rate": lambda q: laplace_falling(q, 1.8, Regime.R0,
+                                                           L1Z),
     "mgf_restricted": lambda z: mgf_restricted(z, 1.0, 3, Regime.R0, SYM),
     "mean_X_symmetric": lambda x: mean_X_symmetric(1.0, x, Regime.R0, SYM),
     "kac_limit_reference": lambda x: kac_limit_reference(1.0, x, 1.0, 1.0),

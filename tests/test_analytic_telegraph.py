@@ -11,7 +11,6 @@ from oubv.analytic import (
     telegraph_cov,
     telegraph_density,
     telegraph_moment,
-    telegraph_moment_symmetric,
 )
 from oubv.model import ModelParams, Regime
 from oubv.specfun import bessel_i
@@ -33,6 +32,23 @@ GRID_B = {"61-89": ModelParams(61.0, 89.0, 1.0, -1.0, 1.0, 1.0),
           "3-50": ModelParams(3.0, 50.0, 1.0, -1.0, 1.0, 1.0),
           "100-100": ModelParams(100.0, 100.0, 2.0, -2.0, 1.0, 1.0)}
 GRID_B_TIMES = (0.1, 1.0, 10.0, 74.0, 200.0)
+
+
+def telegraph_moment_symmetric(order, i, j, t, params):
+    """Closed-form restricted moment E[T(t)^order ; regime(t) = j | i] for
+    equal switching rates and mirrored velocities, order 1 or 2."""
+    lam, a = params.lambda0, params.a0
+    assert params.lambda1 == lam > 0 and params.a1 == -a
+    decay = math.exp(-2.0 * lam * t)
+    if order == 1:
+        if i != j:
+            return 0.0
+        value = a / (2.0 * lam) * (1.0 - decay)
+        return value if i == Regime.R0 else -value
+    if i == j:
+        return a * a * t / (2.0 * lam) * (1.0 - decay)
+    return (a * a * t / (2.0 * lam) * (1.0 + decay)
+            - a * a / (2.0 * lam * lam) * (1.0 - decay))
 
 
 def mp_generator_moments(t, params):

@@ -20,7 +20,6 @@ UNIT = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 ANALYTIC_OPS = (
     "hyper_quad",
     "laplace_falling",
-    "laplace_falling_special",
     "mean_falling",
     "occupation_probs",
     "mgf_gamma",
