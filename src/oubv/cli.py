@@ -64,8 +64,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return "%.17g" % value
     return str(value)
@@ -195,11 +193,10 @@ def _cmd_simulate(config: dict, writer) -> int:
     ev = config["eval"]
     start = _regime(ev["start"])
     target = config["sim"]["target"]
+    horizon, x0 = float(ev["horizon"]), float(ev["x0"])
 
     if target == "paths":
         writer.writerow(["replicate", "epoch", "regime", "x"])
-        horizon = float(ev["horizon"])
-        x0 = float(ev["x0"])
         for i in range(mc.replicates):
             rng = simulate.chunk_rng(mc.seed, i)
             path = simulate.sample_path(params, x0, start, horizon, rng)
@@ -222,8 +219,6 @@ def _cmd_simulate(config: dict, writer) -> int:
         return EXIT_OK
 
     if target == "histogram":
-        horizon = float(ev["horizon"])
-        x0 = float(ev["x0"])
         functional = simulate.functional_x_at(horizon, x0, start)
         lo, hi = config["sim"]["lo"], config["sim"]["hi"]
         # the sample that gives the range is the one binned
@@ -439,15 +434,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "analytic":
             return _cmd_analytic(config, args.quantity, writer)
         return _cmd_validate(config, writer)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SeriesConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        if isinstance(exc, ValueError):
+            return EXIT_CONFIG
+        return (EXIT_CONVERGENCE if isinstance(exc, SeriesConvergenceError)
+                else EXIT_RUNTIME)
     finally:
         if args.out:
             handle.close()

@@ -84,8 +84,8 @@ def run_check(spec: CheckSpec) -> CheckReport:
 
 # --- pieces shared by several checks -------------------------------------------
 
-def _switch_recovered_before(c: float, t: float, x0: float, start: Regime,
-                             params: ModelParams) -> Functional:
+def _switch_recovered_before(c: float, t: float, x0: float,
+                             start: Regime) -> Functional:
     """Indicator that exactly one switch happened by t, and before c.
 
     The switch epoch is reconstructed from the terminal position via the
@@ -94,7 +94,7 @@ def _switch_recovered_before(c: float, t: float, x0: float, start: Regime,
     """
     branch = "tau0" if start == Regime.R0 else "tau1"
 
-    def reduce(st: simulate.ChainState) -> np.ndarray:
+    def reduce(st: simulate.ChainState, params: ModelParams) -> np.ndarray:
         out = np.zeros(st.x.size)
         mask = st.nswitch == 1
         if mask.any():
@@ -103,6 +103,16 @@ def _switch_recovered_before(c: float, t: float, x0: float, start: Regime,
         return out
 
     return simulate.functional_of_state(t, x0, start, reduce)
+
+
+def _telegraph_between(t: float, j: Regime, lo: float, hi: float) -> Functional:
+    """Indicator of regime j at t, from regime 0, with T(t) in [lo, hi]."""
+
+    def reduce(st: simulate.ChainState, params: ModelParams) -> np.ndarray:
+        tv = simulate.regime_integral(st, t, params.a0, params.a1)
+        return (st.regime == int(j)) & (tv >= lo) & (tv <= hi)
+
+    return simulate.functional_of_state(t, 0.0, Regime.R0, reduce)
 
 
 # --- the standard suite -------------------------------------------------------
@@ -121,12 +131,6 @@ _LAMBDA1_ZERO = ModelParams(lambda0=1.0, lambda1=0.0, a0=1.0, a1=-1.0,
                             gamma0=1.0, gamma1=1.0)
 
 R0, R1 = Regime.R0, Regime.R1
-
-
-def _scaled_kac_params(lam: float) -> ModelParams:
-    a = math.sqrt(lam)
-    return ModelParams(lambda0=lam, lambda1=lam, a0=a, a1=-a,
-                       gamma0=1.0, gamma1=1.0)
 
 
 def _check_seed(base_seed: int, index: int) -> int:
@@ -205,31 +209,29 @@ def suite_specs(tier: str, seed: int = DEFAULT_SEED) -> list[CheckSpec]:
         ("joint_atom_n0",
          lambda p: analytic.joint_distribution(1.0, 0, 0.0, R0, p).atoms[0][1],
          lambda p: simulate.functional_of_state(
-             1.0, 0.0, R0, lambda st: st.nswitch == 0),
+             1.0, 0.0, R0, lambda st, q: st.nswitch == 0),
          _SYM, n_small, "mean"),
         ("joint_mass_n1",
          lambda p: (analytic.joint_distribution(1.0, 1, 0.0, R0, p)
                     .mass(-0.3, 0.4)),
-         lambda p: simulate.functional_of_state(1.0, 0.0, R0, lambda st: (
+         lambda p: simulate.functional_of_state(1.0, 0.0, R0, lambda st, q: (
              (st.nswitch == 1) & (st.x >= -0.3) & (st.x <= 0.4))),
          _SYM, n_small, "mean"),
         ("joint_mass_n2",
          lambda p: (analytic.joint_distribution(1.0, 2, 0.0, R0, p)
                     .mass(-0.2, 0.5)),
-         lambda p: simulate.functional_of_state(1.0, 0.0, R0, lambda st: (
+         lambda p: simulate.functional_of_state(1.0, 0.0, R0, lambda st, q: (
              (st.nswitch == 2) & (st.x >= -0.2) & (st.x <= 0.5))),
          _SYM, n_small, "mean"),
         ("telegraph_interval_offdiag",
          lambda p: (analytic.telegraph_density(R0, R1, 1.3, p)
                     .mass(-0.6, 0.5)),
-         lambda p: simulate.functional_of_state(1.3, 0.0, R0, lambda st: (
-             (st.regime == 1) & (st.tvalue >= -0.6) & (st.tvalue <= 0.5))),
+         lambda p: _telegraph_between(1.3, R1, -0.6, 0.5),
          _TELEGRAPH, n_small, "mean"),
         ("telegraph_interval_diag",
          lambda p: (analytic.telegraph_density(R0, R0, 1.3, p)
                     .mass(-0.6, 0.5)),
-         lambda p: simulate.functional_of_state(1.3, 0.0, R0, lambda st: (
-             (st.regime == 0) & (st.tvalue >= -0.6) & (st.tvalue <= 0.5))),
+         lambda p: _telegraph_between(1.3, R0, -0.6, 0.5),
          _TELEGRAPH, n_small, "mean"),
         ("telegraph_moment_first_00",
          lambda p: analytic.telegraph_moment(1, R0, R0, 0.8, p),
@@ -253,7 +255,7 @@ def suite_specs(tier: str, seed: int = DEFAULT_SEED) -> list[CheckSpec]:
         # chain.
         ("tau_cross_cdf",
          lambda p: p.lambda0 * 0.4 * math.exp(-p.lambda0 * 1.0),
-         lambda p: _switch_recovered_before(0.4, 1.0, 0.2, R0, p),
+         lambda p: _switch_recovered_before(0.4, 1.0, 0.2, R0),
          _SYM, n_small, "mean"),
         ("hyper_quad_minor_root_exact",
          lambda p: analytic.hyper_quad(1.0, p).b0,
@@ -292,7 +294,9 @@ def _kac_reports(tier: str, seed: int) -> list[CheckReport]:
     errors = {}
     for tag, lam, n, idx in (("small", lam_lo, n_lo, 900),
                              ("large", lam_hi, n_hi, 901)):
-        params = _scaled_kac_params(lam)
+        a = sigma * math.sqrt(lam)  # a^2 / lambda = sigma^2
+        params = ModelParams(lambda0=lam, lambda1=lam, a0=a, a1=-a,
+                             gamma0=gamma, gamma1=gamma)
         config = MCConfig(replicates=n, seed=_check_seed(seed, idx))
         functional = simulate.functional_x_at(t, x0, Regime.R0)
         mean_est, var_est = simulate.estimate_moments(functional, params, config)

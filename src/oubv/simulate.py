@@ -92,9 +92,13 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def worker_count() -> int:
     env = os.environ.get("OUBV_THREADS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(
+            f"OUBV_THREADS must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +146,14 @@ def eval_path(path: Path, t: float) -> tuple[float, Regime, int]:
 
 @dataclass
 class ChainState:
-    """Per-replicate chain state advanced exactly, segment by segment."""
+    """Per-replicate chain state advanced exactly, segment by segment: one
+    1-D array each for the position, the regime (int8), the switches made
+    and the time spent in regime 1 since ``init_state``."""
 
     x: np.ndarray
     regime: np.ndarray
     nswitch: np.ndarray
-    tvalue: np.ndarray
-    gvalue: np.ndarray
+    occupation1: np.ndarray
 
 
 def init_state(n: int, x0: float, start: Regime) -> ChainState:
@@ -156,9 +161,16 @@ def init_state(n: int, x0: float, start: Regime) -> ChainState:
         x=np.full(n, float(x0)),
         regime=np.full(n, int(start), dtype=np.int8),
         nswitch=np.zeros(n, dtype=np.int64),
-        tvalue=np.zeros(n),
-        gvalue=np.zeros(n),
+        occupation1=np.zeros(n),
     )
+
+
+def regime_integral(state: ChainState, t, v0: float, v1: float) -> np.ndarray:
+    """Each row's integral over [0, t] of v0 in regime 0 and v1 in regime 1,
+    t being the time since ``init_state``: T(t) for (a0, a1), the relaxation
+    integral for (gamma0, gamma1); v_j t exactly if one window stayed in j."""
+    occ = state.occupation1
+    return v0 * (t - occ) + v1 * occ
 
 
 def _per_regime(v0: float, v1: float, regime):
@@ -197,19 +209,12 @@ def _holding_times(rng: np.random.Generator, n: int, regime,
                         np.inf)
 
 
-def _relax(x: np.ndarray, step: np.ndarray, regime, params: ModelParams,
-           gvalue: np.ndarray | None = None) -> None:
-    """Flow each row along its regime's relaxation for ``step``, in place.
-
-    x <- fp + (x - fp) exp(-g step), with the same roundings as that form;
-    ``gvalue``, when given, gains g step.
-    """
+def _relax(x: np.ndarray, step: np.ndarray, regime, params: ModelParams) -> None:
+    """Flow each row along its regime's relaxation for ``step``, in place:
+    x <- fp + (x - fp) exp(-g step), with the same roundings as that form."""
     fp_r = _per_regime(params.fixed_point(Regime.R0),
                        params.fixed_point(Regime.R1), regime)
     arg = step * -_per_regime(params.gamma0, params.gamma1, regime)
-    if gvalue is not None:
-        # gvalue + g step, to the bit: rounding is symmetric in sign
-        gvalue -= arg
     np.exp(arg, out=arg)
     x -= fp_r
     x *= arg
@@ -229,7 +234,8 @@ def advance(state: ChainState, dt, params: ModelParams,
     k has switched k times in the window, so both come from the pass
     index.  When the active rows share their window-start regime, as they
     do from ``init_state``, every pass works on one regime and takes its
-    constants as scalars.  Raises ``RuntimeError`` when some replicate is
+    constants as scalars.  ``occupation1`` gains the step of the rows in
+    regime 1 only.  Raises ``RuntimeError`` when some replicate is
     still active after ``DEFAULT_MAX_SWITCHES`` passes.
     """
     dt = np.asarray(dt, dtype=float)
@@ -238,7 +244,7 @@ def advance(state: ChainState, dt, params: ModelParams,
     n = state.x.size
     window = np.broadcast_to(dt, (n,))
     idx = np.flatnonzero(window > 0.0)
-    x, tv, gv = state.x[idx], state.tvalue[idx], state.gvalue[idx]
+    x, occ = state.x[idx], state.occupation1[idx]
     rem = window[idx]
     # the window-start regime: one bool, or a per-row mask while mixed
     start = _shared_regime(state.regime[idx] == 1)
@@ -251,20 +257,20 @@ def advance(state: ChainState, dt, params: ModelParams,
         switched = tau < rem
         every = switched.all()
         step = tau if every else np.minimum(tau, rem)
-        _relax(x, step, regime, params, gv)
-        tv += _per_regime(params.a0, params.a1, regime) * step
+        _relax(x, step, regime, params)
+        if regime is not False:  # some row is in regime 1
+            np.add(occ, step, out=occ, where=regime)
         rem -= step
         if every:
             continue
         done = np.flatnonzero(~switched)
         rows = idx[done]
         state.x[rows] = x[done]
-        state.tvalue[rows] = tv[done]
-        state.gvalue[rows] = gv[done]
+        state.occupation1[rows] = occ[done]
         state.regime[rows] ^= odd
         state.nswitch[rows] += k
         keep = np.flatnonzero(switched)
-        idx, x, tv, gv, rem = idx[keep], x[keep], tv[keep], gv[keep], rem[keep]
+        idx, x, occ, rem = idx[keep], x[keep], occ[keep], rem[keep]
         if isinstance(start, np.ndarray):
             start = _shared_regime(start[keep])
     raise RuntimeError("max_switches exceeded while advancing the chain")
@@ -319,34 +325,36 @@ def falling_times(params: ModelParams, x: float, start: Regime,
 Functional = Callable[[ModelParams, np.random.Generator, int], np.ndarray]
 
 
-def functional_of_state(t: float, x0: float, start: Regime,
-                        reduce: Callable[[ChainState], np.ndarray]) -> Functional:
-    """Generic functional: advance the chain to time t, then reduce."""
+def functional_of_state(t: float, x0: float, start: Regime, reduce: Callable[
+        [ChainState, ModelParams], np.ndarray]) -> Functional:
+    """Generic functional: advance the chain to time t, then reduce the
+    state with the run's parameters."""
 
     def sample(params: ModelParams, rng: np.random.Generator, n: int) -> np.ndarray:
         state = init_state(n, x0, start)
         advance(state, t, params, rng)
-        return np.asarray(reduce(state), dtype=float)
+        return np.asarray(reduce(state, params), dtype=float)
 
     return sample
 
 
 def functional_x_at(t: float, x0: float, start: Regime) -> Functional:
-    return functional_of_state(t, x0, start, lambda st: st.x)
+    return functional_of_state(t, x0, start, lambda st, p: st.x)
 
 
 def functional_exp_neg_gamma(t: float, start: Regime) -> Functional:
-    return functional_of_state(t, 0.0, start, lambda st: np.exp(-st.gvalue))
+    return functional_of_state(t, 0.0, start, lambda st, p: np.exp(
+        -regime_integral(st, t, p.gamma0, p.gamma1)))
 
 
 def functional_occupancy(t: float, start: Regime, j: Regime) -> Functional:
-    return functional_of_state(t, 0.0, start, lambda st: st.regime == int(j))
+    return functional_of_state(t, 0.0, start, lambda st, p: st.regime == int(j))
 
 
 def functional_telegraph(t: float, start: Regime, j: Regime | None = None,
                          power: int = 1) -> Functional:
-    def reduce(st: ChainState) -> np.ndarray:
-        vals = st.tvalue ** power if power != 1 else st.tvalue.copy()
+    def reduce(st: ChainState, p: ModelParams) -> np.ndarray:
+        vals = regime_integral(st, t, p.a0, p.a1) ** power
         if j is not None:
             vals = vals * (st.regime == int(j))
         return vals
@@ -361,26 +369,24 @@ def functional_telegraph_product(t: float, s: float, start: Regime) -> Functiona
     def sample(params: ModelParams, rng: np.random.Generator, n: int) -> np.ndarray:
         state = init_state(n, 0.0, start)
         advance(state, s, params, rng)
-        at_s = state.tvalue.copy()
+        at_s = regime_integral(state, s, params.a0, params.a1)
         advance(state, t - s, params, rng)
-        return at_s * state.tvalue
+        return at_s * regime_integral(state, t, params.a0, params.a1)
 
     return sample
 
 
 def functional_exp_z_telegraph(z: float, t: float, start: Regime,
                                n_switches: int) -> Functional:
-    def reduce(st: ChainState) -> np.ndarray:
-        return np.exp(z * st.tvalue) * (st.nswitch == n_switches)
+    def reduce(st: ChainState, p: ModelParams) -> np.ndarray:
+        return (np.exp(z * regime_integral(st, t, p.a0, p.a1))
+                * (st.nswitch == n_switches))
 
     return functional_of_state(t, 0.0, start, reduce)
 
 
 def functional_falling_time(x: float, start: Regime) -> Functional:
-    def sample(params: ModelParams, rng: np.random.Generator, n: int) -> np.ndarray:
-        return falling_times(params, x, start, rng, n)
-
-    return sample
+    return lambda params, rng, n: falling_times(params, x, start, rng, n)
 
 
 def functional_exp_q_falling(q: float, x: float, start: Regime) -> Functional:

@@ -87,30 +87,27 @@ def _check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must not be zero or a negative integer")
 
 
-def _gauss_series(b0: float, b1: float, beta: float, z: float) -> float:
-    # Direct series; caller guarantees 0 <= z < 1.
-    def terms() -> Iterator[float]:
-        term = 1.0
-        for n in count():
-            term *= (b0 + n) * (b1 + n) / ((beta + n) * (n + 1.0)) * z
-            yield term
-
-    return _sum_series(terms(), "Gauss", 1.0, z)[0]
-
-
 def gauss_2f1(b0: float, b1: float, beta: float, z: float) -> float:
     """Gauss hypergeometric F(b0, b1; beta; z) for z < 1.
 
     Direct series on [0, 1); Pfaff-transformed series for z < 0, so the
-    effective argument always lies in [0, 1).
+    effective argument w always lies in [0, 1).  Errors name the caller's z.
     """
     _check_beta(beta)
     if z >= 1.0:
         raise ValueError("argument must satisfy z < 1")
     if z >= 0.0:
-        return _gauss_series(b0, b1, beta, z)
-    w = z / (z - 1.0)
-    return (1.0 - z) ** (-b0) * _gauss_series(b0, beta - b1, beta, w)
+        scale, w = 1.0, z
+    else:
+        scale, w, b1 = (1.0 - z) ** (-b0), z / (z - 1.0), beta - b1
+
+    def terms() -> Iterator[float]:
+        term = 1.0
+        for n in count():
+            term *= (b0 + n) * (b1 + n) / ((beta + n) * (n + 1.0)) * w
+            yield term
+
+    return scale * _sum_series(terms(), "Gauss", 1.0, z)[0]
 
 
 def kummer_phi(alpha: float, beta: float, z: float) -> float:

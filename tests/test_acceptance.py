@@ -262,7 +262,7 @@ def test_criterion_10_joint_densities():
     lo, hi = reachable_interval(t, x, SYM)
     dist2 = joint_distribution(t, 2, x, Regime.R0, SYM)
 
-    def conditional_position(st):
+    def conditional_position(st, params):
         return np.where(st.nswitch == 2, st.x, np.nan)
 
     hist = simulate.histogram(

@@ -7,6 +7,7 @@ import pytest
 
 from oubv import cli, simulate
 from oubv.cli import main
+from oubv.model import ModelParams, band_coordinate
 
 HELP_DIR = Path(__file__).resolve().parent / "data" / "help"
 
@@ -57,6 +58,13 @@ class TestSimulateFallingTime:
                                 "--x", "0.5"], capsys)
         assert code == 2
         assert "x must exceed a0/gamma0" in err
+
+    def test_bad_thread_count_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("OUBV_THREADS", "abc")
+        code, _, err = run_cli(["simulate", "--target", "falling-time",
+                                "--replicates", "3"], capsys)
+        assert code == 2
+        assert err == "error: OUBV_THREADS must be an integer, got 'abc'\n"
 
     def test_runtime_error_exit_code(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
@@ -155,6 +163,18 @@ class TestAnalytic:
         assert code == 2
         _, rows = parse_csv(out)
         assert rows[0][11] != ""
+
+    def test_pfaff_series_error_names_the_band_coordinate(self, capsys):
+        # the series runs at w = z / (z - 1); the message names z itself
+        code, out, _ = run_cli(["analytic", "--quantity", "laplace-falling",
+                                "--gamma1", "0.1", "--q", "5", "--start", "0",
+                                "--x", "50"], capsys)
+        assert code == 4
+        _, rows = parse_csv(out)
+        z = band_coordinate(50.0, ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 0.1))
+        assert z == -49.0 / 11.0
+        assert "Gauss series cancelled" in rows[0][11]
+        assert rows[0][11].endswith(f"(z={z!r})")
 
     def test_series_overflow_exit_code(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "occupation-pi00",

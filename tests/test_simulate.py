@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from oubv.simulate import (
     functional_x_at,
     histogram,
     init_state,
+    regime_integral,
     sample_functional,
     sample_path,
+    worker_count,
 )
 
 SYM = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
@@ -116,16 +119,44 @@ class TestTelegraphValues:
     def test_at_zero(self):
         state = init_state(10, 0.3, Regime.R0)
         advance(state, 0.0, ASYM, chunk_rng(21, 0))
-        assert np.all(state.tvalue == 0.0) and np.all(state.gvalue == 0.0)
+        assert np.all(state.occupation1 == 0.0)
+        assert np.all(regime_integral(state, 0.0, ASYM.a0, ASYM.a1) == 0.0)
 
     def test_before_first_switch(self):
+        # a row that never switched reads exactly a_i t and gamma_i t,
+        # from either start
         t = 0.4
-        state = init_state(2_000, 0.0, Regime.R0)
-        advance(state, t, ASYM, chunk_rng(21, 0))
-        unswitched = state.nswitch == 0
-        assert unswitched.any() and not unswitched.all()
-        assert np.all(state.tvalue[unswitched] == ASYM.a0 * t)
-        assert np.all(state.gvalue[unswitched] == ASYM.gamma0 * t)
+        for start in Regime:
+            state = init_state(2_000, 0.0, start)
+            advance(state, t, ASYM, chunk_rng(21, 0))
+            unswitched = state.nswitch == 0
+            assert unswitched.any() and not unswitched.all()
+            tv = regime_integral(state, t, ASYM.a0, ASYM.a1)
+            gv = regime_integral(state, t, ASYM.gamma0, ASYM.gamma1)
+            assert np.all(tv[unswitched] == ASYM.velocity(start) * t)
+            assert np.all(gv[unswitched] == ASYM.relaxation(start) * t)
+
+    @pytest.mark.parametrize("start", [Regime.R0, Regime.R1])
+    def test_matches_path_segment_sums(self, start):
+        # one row drawn from a stream makes the same draws as sample_path
+        # from that stream, so the two walk the same path; T(t) and the
+        # relaxation integral must equal that path's segment sums
+        t, switched = 3.0, 0
+        for k in range(300):
+            path = sample_path(ASYM, 0.4, start, t, chunk_rng(78, k))
+            state = init_state(1, 0.4, start)
+            advance(state, t, ASYM, chunk_rng(78, k))
+            assert state.nswitch[0] == len(path.switches)
+            switched += bool(path.switches)
+            bounds = [0.0] + [s[0] for s in path.switches] + [t]
+            regimes = [start] + [s[1] for s in path.switches]
+            for v in ((ASYM.a0, ASYM.a1), (ASYM.gamma0, ASYM.gamma1)):
+                parts = [v[r] * (hi - lo)
+                         for r, lo, hi in zip(regimes, bounds, bounds[1:])]
+                got = float(regime_integral(state, t, *v)[0])
+                scale = math.fsum(abs(p) for p in parts)
+                assert abs(got - math.fsum(parts)) <= 1e-13 * scale
+        assert switched > 200
 
     def test_solution_formula_reconstruction(self):
         # x0 e^(-G(t)) + sum of segment-exact forced terms equals the path,
@@ -225,8 +256,9 @@ class TestAdvance:
         advance(state, 1.5, p, chunk_rng(8, 0))
         assert np.all(state.nswitch == 0)
         assert np.all(state.x == pattern(Regime.R0, 0.25, 1.5, p))
-        assert np.all(state.tvalue == p.a0 * 1.5)
-        assert np.all(state.gvalue == p.gamma0 * 1.5)
+        assert np.all(regime_integral(state, 1.5, p.a0, p.a1) == p.a0 * 1.5)
+        assert np.all(regime_integral(state, 1.5, p.gamma0, p.gamma1)
+                      == p.gamma0 * 1.5)
 
     def test_two_windows_equal_one(self):
         # advancing in two windows is the same process (memorylessness);
@@ -307,8 +339,8 @@ def reference_advance(state, dt, params, rng):
         fp_r = fp[r]
         g_r = gam[r]
         state.x[idx] = fp_r + (state.x[idx] - fp_r) * np.exp(-g_r * step)
-        state.tvalue[idx] += vel[r] * step
-        state.gvalue[idx] += g_r * step
+        in1 = r == 1
+        state.occupation1[idx[in1]] += step[in1]
         switched = tau < rem
         swi = idx[switched]
         if swi.size:
@@ -345,26 +377,69 @@ BIT_IDENTITY_CASES = {
 }
 
 
+def assert_matches_reference(params, n, start, windows, seed=61):
+    states, rngs = [], []
+    for step_fn in (advance, reference_advance):
+        state = init_state(n, 0.3, start)
+        rng = chunk_rng(seed, 0)
+        for window in windows:
+            step_fn(state, window, params, rng)
+        states.append(state)
+        rngs.append(rng)
+    new, ref = states
+    for field in dataclasses.fields(ChainState):
+        a, b = getattr(new, field.name), getattr(ref, field.name)
+        assert a.dtype == b.dtype, field.name
+        assert np.array_equal(a, b, equal_nan=True), field.name
+    # the same number of draws: both streams stand at the same point
+    assert np.array_equal(rngs[0].random(4), rngs[1].random(4))
+
+
+_RATES = st.one_of(st.just(0.0), st.floats(0.05, 30.0))
+
+
+@st.composite
+def advance_cases(draw):
+    """(params, n, start, windows, seed): random rates, zero included;
+    half the time a0 == a1 with gamma0 != gamma1; one or two windows,
+    each one duration for all rows or one per row."""
+    lam0, lam1 = draw(_RATES), draw(_RATES)
+    if draw(st.booleans()):
+        a = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        g = sorted(draw(st.lists(st.floats(0.1, 5.0), min_size=2,
+                                 max_size=2, unique=True)))
+        # the band a/gamma1 < a/gamma0 needs gamma1 > gamma0 when a > 0
+        g0, g1 = g if a > 0 else g[::-1]
+        params = ModelParams(lam0, lam1, a, a, g0, g1)
+    else:
+        g0, g1 = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0))
+        low, width = draw(st.floats(-3.0, 3.0)), draw(st.floats(1e-3, 3.0))
+        params = ModelParams(lam0, lam1, (low + width) * g0, low * g1, g0, g1)
+    n = draw(st.integers(1, 60))
+    window = st.one_of(st.floats(0.0, 2.0),
+                       st.lists(st.floats(0.0, 2.0), min_size=n,
+                                max_size=n).map(np.array))
+    windows = draw(st.lists(window, min_size=1, max_size=2))
+    return (params, n, draw(st.sampled_from(list(Regime))), windows,
+            draw(st.integers(0, 2 ** 32)))
+
+
 class TestAdvanceBitIdentity:
     @pytest.mark.parametrize("start", [Regime.R0, Regime.R1])
     @pytest.mark.parametrize("case", sorted(BIT_IDENTITY_CASES))
     def test_matches_reference_loop(self, case, start):
         params, n, windows = BIT_IDENTITY_CASES[case]
-        states, rngs = [], []
-        for step_fn in (advance, reference_advance):
-            state = init_state(n, 0.3, start)
-            rng = chunk_rng(61, 0)
-            for window in windows:
-                step_fn(state, window, params, rng)
-            states.append(state)
-            rngs.append(rng)
-        new, ref = states
-        for field in dataclasses.fields(ChainState):
-            a, b = getattr(new, field.name), getattr(ref, field.name)
-            assert a.dtype == b.dtype, field.name
-            assert np.array_equal(a, b, equal_nan=True), field.name
-        # the same number of draws: both streams stand at the same point
-        assert np.array_equal(rngs[0].random(4), rngs[1].random(4))
+        assert_matches_reference(params, n, start, windows)
+
+    @given(case=advance_cases())
+    # equal velocities, unequal relaxations; the second window starts mixed
+    @example(case=(ModelParams(3.0, 5.0, 1.0, 1.0, 1.0, 2.0), 40, Regime.R0,
+                   [0.4, np.linspace(0.0, 1.0, 40)], 5))
+    @example(case=(ModelParams(0.0, 4.0, -1.0, -1.0, 2.0, 1.0), 30, Regime.R1,
+                   [0.3, 0.7], 6))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_reference_loop(self, case):
+        assert_matches_reference(*case)
 
 
 def reference_falling_times(params, x, start, rng, n):
@@ -506,6 +581,19 @@ class TestEstimate:
         one = estimate(functional_x_at(1.0, 0.0, Regime.R0), SYM, cfg)
         two = estimate(functional_x_at(1.0, 0.0, Regime.R0), SYM, cfg)
         assert one == two
+
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_bad_thread_count_named(self, monkeypatch, value):
+        monkeypatch.setenv("OUBV_THREADS", value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"OUBV_THREADS must be an integer, got '{value}'")):
+            worker_count()
+
+    @pytest.mark.parametrize("value, expected", [("0", 1), ("-3", 1),
+                                                 ("2", 2)])
+    def test_thread_count_clamped_to_one(self, monkeypatch, value, expected):
+        monkeypatch.setenv("OUBV_THREADS", value)
+        assert worker_count() == expected
 
     def test_worker_count_invariance(self, monkeypatch):
         cfg = MCConfig(replicates=30_000, seed=7, chunk=5_000)
