@@ -231,14 +231,33 @@ def mean_falling(x: float, start: Regime, params: ModelParams) -> float:
 # Occupation probabilities and moments of the process
 # ---------------------------------------------------------------------------
 
-def occupation_probs(s: float,
-                     params: ModelParams) -> tuple[float, float, float, float]:
-    """Regime occupation probabilities (pi00, pi01, pi10, pi11) at time s.
+def two_state_route(t: float, start: Regime, params: ModelParams,
+                    relaxed: bool = False) -> tuple[str, float, float]:
+    """Route of ``occupation_probs`` (``relaxed`` False) or ``mgf_gamma``
+    (``relaxed`` True) at horizon t, and the half-gap of its 2x2 block.
 
-    ``pi_ij`` is the probability that the chain started in regime i sits
-    in regime j; rows sum to one.
+    Both are read from exp(B t), B = [[-d_i, l_i], [l_o, -d_o]], with i the
+    start regime, o the other, and d = lambda, or d = lambda + gamma when
+    relaxed.  B's eigenvalues are -(d_i + d_o) / 2 +- delta, with
+    c = (d_i - d_o) / 2 and delta = hypot(c, sqrt(l_i l_o)).  The route is
+    the paper's psi-series ("series") while the gap times t, 2 delta t, is
+    at most 4: there |z| <= 4 and l_i l_o t^2 <= 4, so the series needs few
+    terms.  Beyond, it is the eigen form ("eigen"), which so never divides
+    by a gap below 2 / t.  Returns (route, c, delta).
     """
-    require_time(s, "s")
+    li, lo = params.rate(start), params.rate(start.other)
+    di, do = li, lo
+    if relaxed:
+        di, do = li + params.relaxation(start), lo + params.relaxation(
+            start.other)
+    c = (di - do) / 2.0
+    delta = math.hypot(c, math.sqrt(li * lo))
+    return ("series" if 2.0 * delta * t <= 4.0 else "eigen"), c, delta
+
+
+def _occupation_series(s: float,
+                       params: ModelParams) -> tuple[float, float, float, float]:
+    """The paper's psi-series form of ``occupation_probs``."""
     l0, l1 = params.lambda0, params.lambda1
     psi0_f, psi1_f = psi_pair(s, (l0 - l1) * s, params)
     psi0_b, psi1_b = psi_pair(s, (l1 - l0) * s, params)
@@ -249,13 +268,59 @@ def occupation_probs(s: float,
     return (pi00, pi01, pi10, pi11)
 
 
-def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
-    """E[exp(-integral of the active relaxation rate up to t) | start]."""
-    require_time(t)
+def occupation_probs(s: float,
+                     params: ModelParams) -> tuple[float, float, float, float]:
+    """Regime occupation probabilities (pi00, pi01, pi10, pi11) at time s.
+
+    ``pi_ij`` is the probability that the chain started in regime i sits
+    in regime j; rows sum to one.  The route is ``two_state_route``'s:
+    the paper's psi-series while (lambda0 + lambda1) s <= 4, beyond it the
+    eigen form pi01 = lambda0 (1 - e^(-L s)) / L,
+    pi00 = (lambda1 + lambda0 e^(-L s)) / L with L = lambda0 + lambda1, and
+    the same for the other row.
+    """
+    require_time(s, "s")
+    if two_state_route(s, Regime.R0, params)[0] == "series":
+        return _occupation_series(s, params)
+    l0, l1 = params.lambda0, params.lambda1
+    total = l0 + l1
+    decay = math.exp(-total * s)
+    flip = -math.expm1(-total * s) / total
+    return ((l1 + l0 * decay) / total, l0 * flip, l1 * flip,
+            (l0 + l1 * decay) / total)
+
+
+def _mgf_gamma_series(t: float, start: Regime, params: ModelParams) -> float:
+    """The paper's psi-series form of ``mgf_gamma``."""
     li, lo = params.rate(start), params.rate(start.other)
     gi, go = params.relaxation(start), params.relaxation(start.other)
     psi0, psi1 = psi_pair(t, (li - lo + gi - go) * t, params)
     return math.exp(-(li + gi) * t) * (1.0 + psi0 + li * psi1)
+
+
+def mgf_gamma(t: float, start: Regime, params: ModelParams) -> float:
+    """E[exp(-integral of the active relaxation rate up to t) | start].
+
+    The route is ``two_state_route``'s with d = lambda + gamma: the paper's
+    psi-series while 2 delta t <= 4, beyond it the eigen form
+    u = e^(r t) [(l_i + (delta - c)) + e^(-2 delta t) ((delta + c) - l_i)]
+    / (2 delta), with r = -det / ((d_i + d_o) / 2 + delta) the larger
+    eigenvalue and det = l_i g_o + g_i l_o + g_i g_o.  Whichever of
+    delta -+ c would cancel is taken as l_i l_o / (delta +- c).
+    """
+    require_time(t)
+    route, c, delta = two_state_route(t, start, params, relaxed=True)
+    if route == "series":
+        return _mgf_gamma_series(t, start, params)
+    li, lo = params.rate(start), params.rate(start.other)
+    gi, go = params.relaxation(start), params.relaxation(start.other)
+    if c > 0.0:
+        minus, plus = li * lo / (delta + c), delta + c
+    else:
+        minus, plus = delta - c, li * lo / (delta - c)
+    rate = -(li * go + gi * lo + gi * go) / ((li + gi + lo + go) / 2.0 + delta)
+    return math.exp(rate * t) * (
+        (li + minus) + math.exp(-2.0 * delta * t) * (plus - li)) / (2.0 * delta)
 
 
 def _moment_exponential(order: int, t: float, params: ModelParams,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -131,7 +132,10 @@ def _extract_dotted_overrides(argv: list[str]) -> tuple[list[str], dict]:
     return rest, overrides
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it keeps no state
+    between calls, and help text is formatted when printed."""
     parser = argparse.ArgumentParser(
         prog="oubv",
         description="bounded-variation OU process: simulate, evaluate, validate")
@@ -290,8 +294,14 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
 
     def occupation(index):
         def evaluate(params, s):
-            return analytic.occupation_probs(s, params)[index], "series", None
+            value = analytic.occupation_probs(s, params)[index]
+            return value, analytic.two_state_route(s, Regime.R0, params)[0], None
         return evaluate
+
+    def mgf_gamma(params, t, start):
+        value = analytic.mgf_gamma(t, start, params)
+        route = analytic.two_state_route(t, start, params, relaxed=True)[0]
+        return value, route, None
 
     def kac(index):
         def evaluate(params, t, x):
@@ -326,7 +336,7 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
         "occupation-pi01": ("s", "s", occupation(1)),
         "occupation-pi10": ("s", "s", occupation(2)),
         "occupation-pi11": ("s", "s", occupation(3)),
-        "mgf-gamma": ("t", "t start", _analytic("mgf_gamma", "series")),
+        "mgf-gamma": ("t", "t start", mgf_gamma),
         "mean-x": ("t", "t x start",
                    _analytic("mean_X", "generator-exponential")),
         "mean-x-symmetric": ("t", "t x start",

@@ -159,7 +159,12 @@ def psi_pair(t: float, z: float, params: ModelParams) -> tuple[float, float]:
         psi1(t, z) = sum_{n>=1} (l0 l1)^(n-1) t^(2n-1) / (2n-1)! Phi(n, 2n;   z)
 
     psi0 collects even switching counts, psi1 odd ones.  Both vanish at
-    t = 0; psi0 vanishes identically when either rate is zero.
+    t = 0; psi0 vanishes identically when either rate is zero.  The terms
+    grow with |z| and l0 l1 t^2 before they fall, so the cost grows with
+    the horizon, and far out a term overflows.  ``analytic.occupation_probs``
+    and ``analytic.mgf_gamma`` therefore call it only on their series route
+    (``analytic.two_state_route``: 2 delta t <= 4, where |z| <= 4 and
+    l0 l1 t^2 <= 4).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -3,11 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oubv.analytic import (
+    _mgf_gamma_series,
+    _occupation_series,
     hyper_quad,
     joint_distribution,
     kac_limit_reference,
@@ -21,6 +23,7 @@ from oubv.analytic import (
     tau_cross,
     telegraph_density,
     telegraph_moment,
+    two_state_route,
     var_X_symmetric,
 )
 from oubv.model import ModelParams, Regime, pattern
@@ -92,9 +95,12 @@ def test_non_finite_argument(name, value):
 
 def _generator(p):
     """M = [[Q, diag(a)], [0, Q - diag(gamma)]], the forward generator of
-    (regime law, restricted means E[X_t; regime j]), as an mpmath matrix."""
-    l0, l1, a0, a1, g0, g1 = (p.lambda0, p.lambda1, p.a0, p.a1,
-                              p.gamma0, p.gamma1)
+    (regime law, restricted means E[X_t; regime j]), as an mpmath matrix.
+    The entries are summed at the working precision: in floats, -l0 - g0
+    is rounded, and at (61, 64, -1, -1, 0.10000000000000002, 0.1) that
+    put the parts' size 1e-15 above the bound _check_mean_x asserts."""
+    l0, l1, a0, a1, g0, g1 = map(mpmath.mpf, (p.lambda0, p.lambda1, p.a0,
+                                              p.a1, p.gamma0, p.gamma1))
     return mpmath.matrix([[-l0, l0, a0, 0], [l1, -l1, 0, a1],
                           [0, 0, -l0 - g0, l0], [0, 0, l1, -l1 - g1]])
 
@@ -225,6 +231,10 @@ class TestMeanX:
            t=st.floats(1e-4, 50.0), x=st.floats(-5.0, 5.0),
            start=st.sampled_from([Regime.R0, Regime.R1]))
     @settings(max_examples=200, deadline=None)
+    # the oracle once rounded its generator's diagonal to floats, which put
+    # the parts' size here 1e-15 above the bound
+    @example(l0=61.0, l1=64.0, a0=-1.0, a1=-1.0, g0=0.10000000000000002,
+             g1=0.1, t=1.0, x=0.0, start=Regime.R0)
     def test_domain_sweep(self, l0, l1, a0, a1, g0, g1, t, x, start):
         assume(a1 / g1 < a0 / g0)
         _check_mean_x(t, x, start, ModelParams(l0, l1, a0, a1, g0, g1))
@@ -241,7 +251,9 @@ class TestMeanX:
 class TestPsiSeriesAgainstGenerator:
     """The paper's psi-series forms are blocks of the generator exponential
     that ``mean_X`` uses: the upper-left block is the occupation law and the
-    lower-right block's row sums are E[exp(-int gamma)]."""
+    lower-right block's row sums are E[exp(-int gamma)].  The series forms
+    are called directly: past 2 delta t = 4 the public functions take the
+    eigen route."""
 
     @pytest.mark.parametrize("p, grid", [(ASYM, (0.7, 5.0, 20.0, 50.0)),
                                          (MGF, (0.5, 1.0, 5.0, 10.0))],
@@ -249,11 +261,95 @@ class TestPsiSeriesAgainstGenerator:
     def test_blocks(self, p, grid):
         for t in grid:
             e = expm(np.array(_generator(p).tolist(), dtype=float) * t)
-            assert occupation_probs(t, p) == pytest.approx(
+            assert _occupation_series(t, p) == pytest.approx(
                 tuple(e[:2, :2].ravel()), rel=1e-13)
             for start in (Regime.R0, Regime.R1):
-                assert mgf_gamma(t, start, p) == pytest.approx(
+                assert _mgf_gamma_series(t, start, p) == pytest.approx(
                     e[2 + start, 2:].sum(), rel=1e-13)
+
+
+def _two_state_reference(t, p):
+    """The occupation law and E[exp(-int gamma)] from both starts, from
+    40-digit exponentials of Q and Q - diag(gamma)."""
+    with mpmath.workdps(40):
+        l0, l1, g0, g1 = map(mpmath.mpf, (p.lambda0, p.lambda1,
+                                          p.gamma0, p.gamma1))
+        t = mpmath.mpf(t)
+        q = mpmath.expm(mpmath.matrix([[-l0, l0], [l1, -l1]]) * t)
+        k = mpmath.expm(mpmath.matrix([[-l0 - g0, l0], [l1, -l1 - g1]]) * t)
+        return ([q[0, 0], q[0, 1], q[1, 0], q[1, 1]],
+                [k[0, 0] + k[0, 1], k[1, 0] + k[1, 1]])
+
+
+_SWEEP_RATES = (0.0, 1e-12, 0.3, 5.0, 40.0)
+_SWEEP_GAMMAS = ((1.0, 1.0), (1e-12, 2.0), (3.0, 0.5), (0.5, 40.0),
+                 (2.0, 2.000000001))
+
+
+class TestTwoStateRoutes:
+    """``occupation_probs`` and ``mgf_gamma`` on both routes of
+    ``two_state_route``: the psi-series while 2 delta t <= 4, the eigen
+    form beyond."""
+
+    @pytest.mark.parametrize("l1", _SWEEP_RATES)
+    @pytest.mark.parametrize("l0", _SWEEP_RATES)
+    def test_against_forty_digit_expm(self, l0, l1):
+        # zero and 1e-12 rates, lambda_i = 5 against lambda_o = 1e-12, and
+        # horizons out to 1e4, where the series used to overflow; values
+        # below 1e-290 are left out
+        for g0, g1 in _SWEEP_GAMMAS:
+            p = ModelParams(l0, l1, 1.0, -1.0, g0, g1)
+            for t in (0.05, 0.3, 0.7, 2.0, 5.0, 20.0, 50.0, 200.0, 800.0,
+                      1e4):
+                occupation, mgf = _two_state_reference(t, p)
+                got = (occupation_probs(t, p),
+                       [mgf_gamma(t, start, p)
+                        for start in (Regime.R0, Regime.R1)])
+                for values, wants in zip(got, (occupation, mgf)):
+                    for value, want in zip(values, wants):
+                        if abs(want) < 1e-290:
+                            continue
+                        error = abs(mpmath.mpf(value) - want)
+                        assert error <= 1e-12 * abs(want), (p, t, value)
+
+    @pytest.mark.parametrize("p", [ASYM, MGF, SYM, L0Z,
+                                   ModelParams(5.0, 1e-12, 1.0, -1.0,
+                                               0.5, 40.0)],
+                             ids=["ASYM", "MGF", "SYM", "L0Z", "fast-slow"])
+    def test_routes_agree_at_the_switch(self, p):
+        for start in (Regime.R0, Regime.R1):
+            for relaxed in (False, True):
+                _, _, delta = two_state_route(1.0, start, p, relaxed)
+                edge = 2.0 / delta
+                below, above = edge * (1 - 1e-15), edge * (1 + 1e-15)
+                routes = [two_state_route(t, start, p, relaxed)[0]
+                          for t in (below, above)]
+                assert routes == ["series", "eigen"]
+                if relaxed:
+                    pair = [mgf_gamma(t, start, p) for t in (below, above)]
+                    series = _mgf_gamma_series(above, start, p)
+                    assert pair[0] == pytest.approx(pair[1], rel=1e-13)
+                    assert series == pytest.approx(pair[1], rel=1e-13)
+                else:
+                    pair = [occupation_probs(t, p) for t in (below, above)]
+                    series = _occupation_series(above, p)
+                    assert pair[0] == pytest.approx(pair[1], rel=1e-13)
+                    assert series == pytest.approx(pair[1], rel=1e-13)
+
+    def test_harness_points_take_the_series(self):
+        # gap times horizon: 2.1 for occupation_pi01, 2.06 for mgf_gamma_r0
+        assert two_state_route(0.7, Regime.R0, ASYM)[0] == "series"
+        assert two_state_route(1.0, Regime.R0, MGF, relaxed=True)[0] == "series"
+
+    def test_long_horizons(self):
+        for s in (800.0, 1e4):
+            assert occupation_probs(s, ASYM) == pytest.approx(
+                (2 / 3, 1 / 3, 2 / 3, 1 / 3), rel=1e-15)
+        assert occupation_probs(1e4, SYM) == (0.5, 0.5, 0.5, 0.5)
+        # equal relaxations: exp(-1.3 t) whatever the path
+        p = ModelParams(1.0, 2.5, 1.0, -1.0, 1.3, 1.3)
+        assert mgf_gamma(500.0, Regime.R1, p) == pytest.approx(
+            math.exp(-650.0), rel=1e-12)
 
 
 class TestMeanXSymmetric:

@@ -176,12 +176,37 @@ class TestAnalytic:
         assert "Gauss series cancelled" in rows[0][11]
         assert rows[0][11].endswith(f"(z={z!r})")
 
-    def test_series_overflow_exit_code(self, capsys):
-        code, out, _ = run_cli(["analytic", "--quantity", "occupation-pi00",
-                                "--s", "10000"], capsys)
+    def test_series_convergence_exit_code(self, capsys):
+        code, out, _ = run_cli(["analytic", "--quantity", "laplace-falling",
+                                "--gamma1", "0.1", "--q", "5", "--start", "1",
+                                "--x", "12"], capsys)
         assert code == 4
         _, rows = parse_csv(out)
-        assert "overflow" in rows[0][11]
+        assert rows[0][8] == ""
+        assert "Gauss series cancelled" in rows[0][11]
+
+    def test_long_horizon_occupation(self, capsys):
+        # the psi-series overflowed here; the eigen form gives the
+        # stationary law
+        code, out, _ = run_cli(["analytic", "--quantity", "occupation-pi00",
+                                "--s", "10000"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][8:] == ["0.5", "eigen", "", ""]
+
+    @pytest.mark.parametrize("quantity,flag,grid,routes", [
+        ("occupation-pi01", "--s", "0.7,5", ["series", "eigen"]),
+        ("mgf-gamma", "--t", "1,2", ["series", "eigen"]),
+    ])
+    def test_method_names_the_route(self, quantity, flag, grid, routes,
+                                    capsys):
+        # MGF-like rates for mgf-gamma: 2 delta t is 2.06 at t = 1
+        code, out, _ = run_cli(["analytic", "--quantity", quantity,
+                                "--lambda1", "0.5", "--gamma0", "2",
+                                "--grid", grid], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[9] for row in rows] == routes
 
     def test_negative_time_is_config_error(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "kac-reference-var",
@@ -337,6 +362,20 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+
+    def test_parser_is_built_once_and_reused(self, capsys, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        argv = ["analytic", "--quantity", "mgf-gamma", "--t", "2"]
+        first = run_cli(argv, capsys)
+        with pytest.raises(SystemExit):
+            main(["analytic", "--quantity", "mgf-gamma", "--seed", "3"])
+        capsys.readouterr()
+        assert run_cli(argv, capsys) == first
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["analytic", "--help"])
+        assert capsys.readouterr().out == (HELP_DIR / "analytic.txt").read_text()
+        assert run_cli(argv, capsys) == first
 
     def test_telegraph_density_bad_terminal_regime(self, capsys):
         code, out, _ = run_cli(["analytic", "--quantity", "telegraph-density",
