@@ -242,21 +242,19 @@ def two_state_route(t: float, start: Regime, params: ModelParams,
     c = (d_i - d_o) / 2 and delta = hypot(c, sqrt(l_i l_o)).  The route is
     the paper's psi-series ("series") while the gap times t, 2 delta t, is
     at most 4: there |z| <= 4 and l_i l_o t^2 <= 4, so the series needs few
-    terms.  Beyond, it is the eigen form ("eigen"), which so never divides
-    by a gap below 2 / t.  Returns (route, c, delta).
+    terms.  Beyond, it is the eigen form ("eigen"), which thus never
+    divides by a gap below 2 / t.  Returns (route, c, delta).
     """
     li, lo = params.rate(start), params.rate(start.other)
-    di, do = li, lo
-    if relaxed:
-        di, do = li + params.relaxation(start), lo + params.relaxation(
-            start.other)
-    c = (di - do) / 2.0
+    gi, go = ((params.relaxation(start), params.relaxation(start.other))
+              if relaxed else (0.0, 0.0))
+    c = ((li + gi) - (lo + go)) / 2.0
     delta = math.hypot(c, math.sqrt(li * lo))
     return ("series" if 2.0 * delta * t <= 4.0 else "eigen"), c, delta
 
 
-def _occupation_series(s: float,
-                       params: ModelParams) -> tuple[float, float, float, float]:
+def _occupation_series(s: float, params: ModelParams
+                       ) -> tuple[float, float, float, float]:
     """The paper's psi-series form of ``occupation_probs``."""
     l0, l1 = params.lambda0, params.lambda1
     psi0_f, psi1_f = psi_pair(s, (l0 - l1) * s, params)

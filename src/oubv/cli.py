@@ -295,7 +295,8 @@ def _quantity_registry() -> dict[str, tuple[str, str, Callable]]:
     def occupation(index):
         def evaluate(params, s):
             value = analytic.occupation_probs(s, params)[index]
-            return value, analytic.two_state_route(s, Regime.R0, params)[0], None
+            route = analytic.two_state_route(s, Regime.R0, params)[0]
+            return value, route, None
         return evaluate
 
     def mgf_gamma(params, t, start):

@@ -341,16 +341,6 @@ class TestTwoStateRoutes:
         assert two_state_route(0.7, Regime.R0, ASYM)[0] == "series"
         assert two_state_route(1.0, Regime.R0, MGF, relaxed=True)[0] == "series"
 
-    def test_long_horizons(self):
-        for s in (800.0, 1e4):
-            assert occupation_probs(s, ASYM) == pytest.approx(
-                (2 / 3, 1 / 3, 2 / 3, 1 / 3), rel=1e-15)
-        assert occupation_probs(1e4, SYM) == (0.5, 0.5, 0.5, 0.5)
-        # equal relaxations: exp(-1.3 t) whatever the path
-        p = ModelParams(1.0, 2.5, 1.0, -1.0, 1.3, 1.3)
-        assert mgf_gamma(500.0, Regime.R1, p) == pytest.approx(
-            math.exp(-650.0), rel=1e-12)
-
 
 class TestMeanXSymmetric:
     def test_at_zero(self):
